@@ -379,6 +379,34 @@ func (m *Matrix) At(i, j int64) (float64, error) {
 	return v, nil
 }
 
+// ReadRect copies the rectangle rows [r0, r1) × cols [c0, c1) into dst,
+// row-major with row stride ld. Each covered tile is pinned once and
+// copied a row slice at a time.
+func (m *Matrix) ReadRect(r0, r1, c0, c1 int64, dst []float64, ld int64) error {
+	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 > r1 || c0 > c1 {
+		return fmt.Errorf("array: rectangle [%d,%d)×[%d,%d) outside %d×%d matrix %q", r0, r1, c0, c1, m.rows, m.cols, m.name)
+	}
+	if r0 == r1 || c0 == c1 {
+		return nil
+	}
+	tr, tc := int64(m.tileR), int64(m.tileC)
+	for ti := r0 / tr; ti*tr < r1; ti++ {
+		for tj := c0 / tc; tj*tc < c1; tj++ {
+			t, err := m.PinTile(int(ti), int(tj))
+			if err != nil {
+				return err
+			}
+			lo, hi := max(t.RowLo, r0), min(t.RowHi, r1)
+			clo, chi := max(t.ColLo, c0), min(t.ColHi, c1)
+			for i := lo; i < hi; i++ {
+				copy(dst[(i-r0)*ld+clo-c0:], t.Row(i)[clo-t.ColLo:chi-t.ColLo])
+			}
+			t.Release()
+		}
+	}
+	return nil
+}
+
 // Set writes a single element through the buffer pool.
 func (m *Matrix) Set(i, j int64, v float64) error {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {

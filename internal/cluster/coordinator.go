@@ -273,10 +273,12 @@ func (c *Coordinator) MatMul(a, b *riot.Matrix) (*riot.Matrix, error) {
 // ("" means standard). The larger operand is sharded by tile band onto
 // the ring, the smaller shipped to every participating node; partial
 // products reduce locally (k is whole on every node) and the result is
-// gathered and assembled in the coordinator's session. On a peer
-// failure the shard is re-placed onto the survivors up to Options.
-// Retries times; the result is never published partially — either every
-// band arrived or an error names the dead peer and the failed step.
+// gathered and assembled in the coordinator's session. Operands are
+// read tile by tile from their stored form, never as a whole row-major
+// copy. On a peer failure the share is re-placed onto the survivors up
+// to Options.Retries times; the result is never published partially —
+// either every band arrived or an error names the dead peer and the
+// failed step.
 func (c *Coordinator) MatMulRing(a, b *riot.Matrix, ring string) (*riot.Matrix, error) {
 	l, m := a.Dims()
 	m2, k := b.Dims()
@@ -286,37 +288,54 @@ func (c *Coordinator) MatMulRing(a, b *riot.Matrix, ring string) (*riot.Matrix, 
 	if c.ring.Len() == 0 {
 		return nil, fmt.Errorf("cluster: no peers joined")
 	}
-	shipLeft := l*m >= m*k // shard the larger operand, broadcast the smaller
-	av, err := a.Values()
-	if err != nil {
+	x := &mulQuery{
+		q:        fmt.Sprintf("q%d", c.seq.Add(1)),
+		ring:     ring,
+		shipLeft: l*m >= m*k, // shard the larger operand, broadcast the smaller
+		l:        l,
+		k:        k,
+		out:      make([]float64, l*k),
+	}
+	var err error
+	if x.a, err = storedOperand(a); err != nil {
 		return nil, fmt.Errorf("cluster: force left operand: %w", err)
 	}
-	bv, err := b.Values()
-	if err != nil {
+	if x.b, err = storedOperand(b); err != nil {
 		return nil, fmt.Errorf("cluster: force right operand: %w", err)
 	}
-	aKind, err := a.Kind()
-	if err != nil {
-		return nil, err
-	}
-	bKind, err := b.Kind()
-	if err != nil {
-		return nil, err
-	}
-	q := fmt.Sprintf("q%d", c.seq.Add(1))
-	out := make([]float64, l*k)
-	bands, label := c.bands(l, k, m, shipLeft)
+	bands, label := c.bands(l, k, m, x.shipLeft)
 	if len(bands) > 0 {
-		if err := c.scatterGather(q, label, bands, shipLeft, ring,
-			av, bv, aKind, bKind, l, m, k, out); err != nil {
+		// The broadcast operand is read once and its payload shared by
+		// every peer's push.
+		bc, rows := x.b, m
+		if !x.shipLeft {
+			bc, rows = x.a, l
+		}
+		bcast, err := encodePushes(bc, true, []string{x.q + ".bc"}, [][]bandSpec{{{hi: rows}}})
+		if err != nil {
+			return nil, fmt.Errorf("cluster: read broadcast operand: %w", err)
+		}
+		x.bcast = bcast[0]
+		if err := c.scatterGather(x, label, bands); err != nil {
 			return nil, err
 		}
 	}
-	res, err := c.sess.NewMatrix(l, k, func(i, j int64) float64 { return out[i*k+j] })
+	res, err := c.sess.NewMatrix(l, k, func(i, j int64) float64 { return x.out[i*k+j] })
 	if err != nil {
 		return nil, fmt.Errorf("cluster: assemble result: %w", err)
 	}
 	return res, nil
+}
+
+// mulQuery is one distributed multiply in flight.
+type mulQuery struct {
+	q        string // the query's name prefix on every node
+	ring     string
+	shipLeft bool // shard A by tile-row bands; otherwise B by tile-col bands
+	a, b     operand
+	l, k     int64     // the result's dims
+	bcast    []byte    // the broadcast operand's TilePush payload
+	out      []float64 // the row-major result, filled band by band
 }
 
 // bands splits the sharded dimension into tile bands of the session's
@@ -344,9 +363,10 @@ func (c *Coordinator) bands(l, k, m int64, shipLeft bool) ([]bandSpec, string) {
 	return bands, label
 }
 
-// place groups bands by ring owner. Owners must exist in the peer
-// table; a band whose owner has no live connection is an error (the
-// ring and peer list are kept in sync by Add/RemovePeer).
+// place groups bands by ring owner, each owner's bands in ascending
+// order. Owners must exist in the peer table; a band whose owner has no
+// live connection is an error (the ring and peer list are kept in sync
+// by Add/RemovePeer).
 func (c *Coordinator) place(label string, bands []bandSpec) (map[string][]bandSpec, error) {
 	assign := make(map[string][]bandSpec)
 	for _, band := range bands {
@@ -359,12 +379,10 @@ func (c *Coordinator) place(label string, bands []bandSpec) (map[string][]bandSp
 	return assign, nil
 }
 
-// scatterGather is one distributed multiply attempt loop: scatter the
-// bands and the broadcast operand, exec and fetch each band, fill the
-// result buffer. Failed peers are removed and their bands re-placed
-// until Retries is exhausted.
-func (c *Coordinator) scatterGather(q, label string, bands []bandSpec, shipLeft bool,
-	ring string, av, bv []float64, aKind, bKind string, l, m, k int64, out []float64) error {
+// scatterGather is one distributed multiply's attempt loop: run every
+// peer's share, fill the result buffer. Failed peers are removed and
+// their bands re-placed until Retries is exhausted.
+func (c *Coordinator) scatterGather(x *mulQuery, label string, bands []bandSpec) error {
 	pending := bands
 	pushedBcast := make(map[string]bool)
 	for attempt := 0; ; attempt++ {
@@ -377,24 +395,49 @@ func (c *Coordinator) scatterGather(q, label string, bands []bandSpec, shipLeft 
 			bands []bandSpec
 			err   error
 		}
+		// Read every share in one pass over the sharded operand, in
+		// storage order, before any peer is contacted. Names carry the
+		// attempt and the peer, so a retry never reuses a dead attempt's
+		// names.
+		ids := make([]string, 0, len(assign))
+		for id := range assign {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		bases := make([]string, len(ids))
+		shNames := make([]string, len(ids))
+		shares := make([][]bandSpec, len(ids))
+		for i, id := range ids {
+			bases[i] = fmt.Sprintf("%s.%d.%s", x.q, attempt, id)
+			shNames[i] = bases[i] + ".sh"
+			shares[i] = assign[id]
+		}
+		sharded := x.a
+		if !x.shipLeft {
+			sharded = x.b
+		}
+		bodies, err := encodePushes(sharded, x.shipLeft, shNames, shares)
+		if err != nil {
+			c.dropQuery(x.q)
+			return fmt.Errorf("cluster: read sharded operand: %w", err)
+		}
 		var wg sync.WaitGroup
 		errCh := make(chan peerErr, len(assign))
-		for id, share := range assign {
+		for i, id := range ids {
 			c.mu.Lock()
 			p := c.peers[id]
 			c.mu.Unlock()
 			if p == nil {
-				errCh <- peerErr{id, share, fmt.Errorf("no live connection")}
+				errCh <- peerErr{id, shares[i], fmt.Errorf("no live connection")}
 				continue
 			}
 			wg.Add(1)
-			go func(p *Peer, share []bandSpec) {
+			go func(p *Peer, i int) {
 				defer wg.Done()
-				if err := c.runShare(p, q, share, shipLeft, ring, av, bv, aKind, bKind,
-					l, m, k, out, pushedBcast); err != nil {
-					errCh <- peerErr{p.id, share, err}
+				if err := c.runShare(p, x, bases[i], shares[i], bodies[i], pushedBcast); err != nil {
+					errCh <- peerErr{p.id, shares[i], err}
 				}
-			}(p, share)
+			}(p, i)
 		}
 		wg.Wait()
 		close(errCh)
@@ -409,124 +452,99 @@ func (c *Coordinator) scatterGather(q, label string, bands []bandSpec, shipLeft 
 			delete(pushedBcast, pe.id)
 		}
 		if firstErr == nil {
-			c.dropQuery(q)
+			c.dropQuery(x.q)
 			return nil
 		}
 		if attempt >= c.opts.Retries {
-			c.dropQuery(q)
+			c.dropQuery(x.q)
 			return fmt.Errorf("%w (after %d attempt(s); result not published)", firstErr, attempt+1)
 		}
 		if c.ring.Len() == 0 {
 			return fmt.Errorf("cluster: no live peers remain: %w", firstErr)
 		}
+		// Re-placed bands keep ascending order, so a sparse share's
+		// partial last band still ends its concatenation.
+		sort.Slice(failed, func(i, j int) bool { return failed[i].idx < failed[j].idx })
 		pending = failed
 	}
 }
 
-// runShare executes one peer's share of a query: push the broadcast
-// operand once, then push, exec, and fetch each band. Bands write into
-// disjoint regions of out, so shares fill it concurrently without
-// synchronization.
-func (c *Coordinator) runShare(p *Peer, q string, share []bandSpec, shipLeft bool,
-	ring string, av, bv []float64, aKind, bKind string, l, m, k int64, out []float64,
-	pushedBcast map[string]bool) error {
-	bcName := q + ".bc"
+// runShare executes one peer's share of a query in one round trip of
+// each kind: push the broadcast operand (once per peer and query), push
+// the share's bands concatenated into one operand (body, encoded under
+// base+".sh"), exec it, fetch the product, and copy its rows (or
+// columns) back band by band. Band edges are tile edges and the bands
+// ascend, so the share's tiles are the source's tiles and every output
+// element sums over the same k in the same order as a single-node
+// multiply. Shares write disjoint regions of the result, so they fill
+// it concurrently without synchronization.
+func (c *Coordinator) runShare(p *Peer, x *mulQuery, base string, share []bandSpec, body []byte, pushedBcast map[string]bool) error {
+	bcName := x.q + ".bc"
 	c.mu.Lock()
 	pushed := pushedBcast[p.id]
 	pushedBcast[p.id] = true
 	c.mu.Unlock()
 	if !pushed {
-		var vals []float64
-		var rows, cols int64
-		var kind string
-		if shipLeft {
-			vals, rows, cols, kind = bv, m, k, bKind // broadcast B
-		} else {
-			vals, rows, cols, kind = av, l, m, aKind // broadcast A
-		}
-		if err := c.push(p, bcName, kind, rows, cols, 0, vals); err != nil {
+		if _, _, err := p.rpc(FrameTilePush, x.bcast); err != nil {
 			return fmt.Errorf("broadcast %s: %w", bcName, err)
 		}
 	}
-	for _, band := range share {
-		shName := fmt.Sprintf("%s.sh.%d", q, band.idx)
-		outName := fmt.Sprintf("%s.out.%d", q, band.idx)
-		n := band.hi - band.lo
-		var vals []float64
-		var rows, cols int64
-		var kind string
-		var aName, bName string
-		if shipLeft {
-			vals, rows, cols, kind = av[band.lo*m:band.hi*m], n, m, aKind
-			aName, bName = shName, bcName
-		} else {
-			// Column band of B: strided copy out of the row-major buffer.
-			vals = make([]float64, m*n)
-			for i := int64(0); i < m; i++ {
-				copy(vals[i*n:(i+1)*n], bv[i*k+band.lo:i*k+band.hi])
-			}
-			rows, cols, kind = m, n, bKind
-			aName, bName = bcName, shName
+	shName, outName := base+".sh", base+".out"
+	aName, bName := shName, bcName
+	if !x.shipLeft {
+		aName, bName = bcName, shName
+	}
+	if _, _, err := p.rpc(FrameTilePush, body); err != nil {
+		return fmt.Errorf("scatter %s: %w", shName, err)
+	}
+	var e wbuf
+	e.str(outName)
+	e.str(aName)
+	e.str(bName)
+	e.str(x.ring)
+	if _, _, err := p.rpc(FrameExec, e.b); err != nil {
+		return fmt.Errorf("exec %s: %w", outName, err)
+	}
+	var f wbuf
+	f.str(outName)
+	t, resp, err := p.rpc(FrameFetch, f.b)
+	if err != nil {
+		return fmt.Errorf("gather %s: %w", outName, err)
+	}
+	if t != FrameTileData {
+		return fmt.Errorf("gather %s: unexpected frame %#x", outName, t)
+	}
+	var r rbuf
+	r.b = resp
+	gr, gc := r.denseDims()
+	got := r.f64s(int(gr * gc))
+	if r.fail() {
+		return fmt.Errorf("gather %s: %w", outName, r.err)
+	}
+	n := spanLen(share)
+	k := x.k
+	if x.shipLeft {
+		if gr != n || gc != k {
+			return fmt.Errorf("gather %s: got %dx%d, want %dx%d", outName, gr, gc, n, k)
 		}
-		if err := c.push(p, shName, kind, rows, cols, band.lo, vals); err != nil {
-			return fmt.Errorf("scatter %s: %w", shName, err)
+		var off int64
+		for _, band := range share {
+			copy(x.out[band.lo*k:band.hi*k], got[off*k:])
+			off += band.hi - band.lo
 		}
-		var e wbuf
-		e.str(outName)
-		e.str(aName)
-		e.str(bName)
-		e.str(ring)
-		if _, _, err := p.rpc(FrameExec, e.b); err != nil {
-			return fmt.Errorf("exec %s: %w", outName, err)
-		}
-		var f wbuf
-		f.str(outName)
-		t, body, err := p.rpc(FrameFetch, f.b)
-		if err != nil {
-			return fmt.Errorf("gather %s: %w", outName, err)
-		}
-		if t != FrameTileData {
-			return fmt.Errorf("gather %s: unexpected frame %#x", outName, t)
-		}
-		var r rbuf
-		r.b = body
-		gr, gc := int64(r.u64()), int64(r.u64())
-		got := r.f64s(int(gr * gc))
-		if r.fail() {
-			return fmt.Errorf("gather %s: %w", outName, r.err)
-		}
-		if shipLeft {
-			if gr != n || gc != k {
-				return fmt.Errorf("gather %s: got %dx%d, want %dx%d", outName, gr, gc, n, k)
-			}
-			copy(out[band.lo*k:band.hi*k], got)
-		} else {
-			if gr != l || gc != n {
-				return fmt.Errorf("gather %s: got %dx%d, want %dx%d", outName, gr, gc, l, n)
-			}
-			for i := int64(0); i < l; i++ {
-				copy(out[i*k+band.lo:i*k+band.hi], got[i*n:(i+1)*n])
-			}
+		return nil
+	}
+	if gr != x.l || gc != n {
+		return fmt.Errorf("gather %s: got %dx%d, want %dx%d", outName, gr, gc, x.l, n)
+	}
+	for i := int64(0); i < x.l; i++ {
+		off := i * n
+		for _, band := range share {
+			copy(x.out[i*k+band.lo:i*k+band.hi], got[off:])
+			off += band.hi - band.lo
 		}
 	}
 	return nil
-}
-
-// push ships one operand band in a FrameTilePush.
-func (c *Coordinator) push(p *Peer, name, kind string, rows, cols, off int64, vals []float64) error {
-	var w wbuf
-	w.str(name)
-	if kind == "sparse" {
-		w.u8(kindSparse)
-	} else {
-		w.u8(kindDense)
-	}
-	w.u64(uint64(rows))
-	w.u64(uint64(cols))
-	w.u64(uint64(off))
-	w.f64s(vals)
-	_, _, err := p.rpc(FrameTilePush, w.b)
-	return err
 }
 
 // dropQuery frees the query's namespace on every live peer,
@@ -568,20 +586,39 @@ func (c *Coordinator) PeerStats(id string) (ioBytes, seqOps, randOps, flops int6
 }
 
 // Explain renders the distributed physical plan for C = A ⊗ B under the
-// current ring, without executing anything: the per-site scatter,
-// remote-exec, and gather steps with io, cpu, and network-block
-// estimates (plan.DistMatMul).
+// current ring (ExplainPlan).
 func (c *Coordinator) Explain(a, b *riot.Matrix, ring string) (string, error) {
+	p, err := c.ExplainPlan(a, b, ring)
+	if err != nil {
+		return "", err
+	}
+	return p.Render(), nil
+}
+
+// ExplainPlan builds the distributed physical plan for C = A ⊗ B under
+// the current ring without sending anything: the per-site scatter,
+// remote-exec, and gather steps with io, cpu, and network-block
+// estimates (plan.DistMatMul). The operands are forced locally, as the
+// run would, so sparse shares are costed by their nonzeros.
+func (c *Coordinator) ExplainPlan(a, b *riot.Matrix, ring string) (*plan.Plan, error) {
 	l, m := a.Dims()
 	m2, k := b.Dims()
 	if m != m2 {
-		return "", fmt.Errorf("cluster: matmul dims %dx%d · %dx%d", l, m, m2, k)
+		return nil, fmt.Errorf("cluster: matmul dims %dx%d · %dx%d", l, m, m2, k)
+	}
+	av, err := storedOperand(a)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: force left operand: %w", err)
+	}
+	bv, err := storedOperand(b)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: force right operand: %w", err)
 	}
 	shipLeft := l*m >= m*k
 	bands, label := c.bands(l, k, m, shipLeft)
 	assign, err := c.place(label, bands)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	sites := make([]string, 0, len(assign))
 	for id := range assign {
@@ -590,11 +627,26 @@ func (c *Coordinator) Explain(a, b *riot.Matrix, ring string) (string, error) {
 	sort.Strings(sites)
 	shards := make([]plan.DistShard, 0, len(sites))
 	for _, id := range sites {
-		var span int64
-		for _, band := range assign[id] {
-			span += band.hi - band.lo
+		share := assign[id]
+		var w plan.Wire
+		if shipLeft {
+			w, err = av.wire(true, share)
+		} else {
+			w, err = bv.wire(false, share)
 		}
-		shards = append(shards, plan.DistShard{Site: id, Bands: len(assign[id]), Span: span})
+		if err != nil {
+			return nil, err
+		}
+		shards = append(shards, plan.DistShard{Site: id, Bands: len(share), Span: spanLen(share), Wire: w})
+	}
+	var bcast plan.Wire
+	if shipLeft {
+		bcast, err = bv.wire(true, []bandSpec{{hi: m}})
+	} else {
+		bcast, err = av.wire(true, []bandSpec{{hi: l}})
+	}
+	if err != nil {
+		return nil, err
 	}
 	mach := plan.Machine{
 		MemElems:   c.opts.MemElems,
@@ -602,7 +654,7 @@ func (c *Coordinator) Explain(a, b *riot.Matrix, ring string) (string, error) {
 		Frames:     int(c.opts.MemElems) / c.opts.BlockElems,
 		Workers:    1,
 	}
-	return plan.DistMatMul(l, m, k, shards, shipLeft, mach, ring).Render(), nil
+	return plan.DistMatMul(l, m, k, shards, bcast, shipLeft, mach, ring), nil
 }
 
 // ioReadFull is io.ReadFull, aliased so the import list stays tidy in

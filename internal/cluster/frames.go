@@ -8,8 +8,10 @@ import (
 )
 
 // Magic is the remote-frame handshake preamble both sides send before
-// their Hello frame (PROTOCOL.md §Remote frames).
-const Magic = "RIOTRMT1"
+// their Hello frame (PROTOCOL.md §Remote frames). Version 2 changed the
+// TilePush payload to a per-kind body (sparse operands travel as their
+// nonzeros), so version-1 peers are rejected at the handshake.
+const Magic = "RIOTRMT2"
 
 // maxFramePayload bounds one frame's payload so a corrupt length prefix
 // cannot ask a node to allocate unbounded memory.
@@ -27,7 +29,8 @@ const (
 	FramePing FrameType = 0x02
 	// FramePong answers FramePing.
 	FramePong FrameType = 0x03
-	// FrameTilePush ships one tile band of an operand to a node.
+	// FrameTilePush ships an operand, or one node's share of one, to a
+	// node.
 	FrameTilePush FrameType = 0x10
 	// FrameExec runs one partial multiply over operands the node holds.
 	FrameExec FrameType = 0x11
@@ -87,8 +90,8 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 }
 
 // wbuf builds a frame payload. Strings are a 4-byte big-endian length
-// plus UTF-8 bytes; integers are 8-byte big-endian; float64 values are
-// 8-byte little-endian IEEE 754 bits (the host layout of the tiles).
+// plus UTF-8 bytes; integers are 4- or 8-byte big-endian; float64 values
+// are 8-byte little-endian IEEE 754 bits (the host layout of the tiles).
 type wbuf struct{ b []byte }
 
 func (w *wbuf) str(s string) {
@@ -99,6 +102,12 @@ func (w *wbuf) str(s string) {
 }
 
 func (w *wbuf) u8(v uint8) { w.b = append(w.b, v) }
+
+func (w *wbuf) u32(v uint32) {
+	var n [4]byte
+	binary.BigEndian.PutUint32(n[:], v)
+	w.b = append(w.b, n[:]...)
+}
 
 func (w *wbuf) u64(v uint64) {
 	var n [8]byte
@@ -152,6 +161,15 @@ func (r *rbuf) u8() uint8 {
 	return v
 }
 
+func (r *rbuf) u32() uint32 {
+	if !r.need(4) {
+		return 0
+	}
+	v := binary.BigEndian.Uint32(r.b)
+	r.b = r.b[4:]
+	return v
+}
+
 func (r *rbuf) u64() uint64 {
 	if !r.need(8) {
 		return 0
@@ -161,11 +179,15 @@ func (r *rbuf) u64() uint64 {
 	return v
 }
 
+// f64s decodes n values. The count is checked against the bytes left
+// before anything is multiplied or allocated, so a corrupt count can
+// neither overflow 8·n nor drive a huge allocation.
 func (r *rbuf) f64s(n int) []float64 {
-	if n < 0 || !r.need(8*n) {
-		if r.err == nil {
-			r.err = fmt.Errorf("cluster: negative value count")
-		}
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.b)/8 {
+		r.err = fmt.Errorf("cluster: frame payload holds %d bytes, not %d values", len(r.b), n)
 		return nil
 	}
 	vals := make([]float64, n)
@@ -174,4 +196,32 @@ func (r *rbuf) f64s(n int) []float64 {
 	}
 	r.b = r.b[8*n:]
 	return vals
+}
+
+// maxDim bounds each declared matrix dimension: in-tile indexes and
+// tile coordinates travel as u32.
+const maxDim = 1<<31 - 1
+
+// dims reads a rows, cols pair, each of which must lie in [0, maxDim].
+func (r *rbuf) dims() (rows, cols int64) {
+	rows, cols = int64(r.u64()), int64(r.u64())
+	if r.err == nil && (rows < 0 || cols < 0 || rows > maxDim || cols > maxDim) {
+		r.err = fmt.Errorf("cluster: implausible dims %dx%d", uint64(rows), uint64(cols))
+	}
+	if r.err != nil {
+		return 0, 0
+	}
+	return rows, cols
+}
+
+// denseDims reads dims that must describe exactly the row-major values
+// left in the payload. The bounds keep rows·cols from overflowing, and
+// the match is checked before the caller allocates.
+func (r *rbuf) denseDims() (rows, cols int64) {
+	rows, cols = r.dims()
+	if r.err == nil && (len(r.b)%8 != 0 || rows*cols != int64(len(r.b)/8)) {
+		r.err = fmt.Errorf("cluster: %dx%d values do not match a %d-byte payload", rows, cols, len(r.b))
+		return 0, 0
+	}
+	return rows, cols
 }

@@ -134,6 +134,7 @@ type Injector struct {
 	delay      time.Duration
 	dropWrites int
 	killAfter  int // reads remaining before the kill; 0 = disarmed
+	killWrites int // writes remaining before the kill; 0 = disarmed
 	killed     bool
 }
 
@@ -159,6 +160,16 @@ func (j *Injector) KillAfterReads(n int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.killAfter = n
+}
+
+// KillAfterWrites arms a deferred kill on the write side: the
+// connection is severed right after the node's n-th subsequent Write
+// completes. A node's bare acknowledgement is one write, so this lands a
+// kill just after the coordinator has seen the node accept a push.
+func (j *Injector) KillAfterWrites(n int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.killWrites = n
 }
 
 // Delay makes every subsequent transfer on the node's connection wait d
@@ -203,8 +214,10 @@ func (f *faultConn) Read(b []byte) (int, error) {
 	return f.Conn.Read(b)
 }
 
-// Write applies the configured delay, then either forwards the bytes or
-// silently discards them when a drop is armed.
+// Write counts down an armed write-side kill, applies the configured
+// delay, then either forwards the bytes or silently discards them when a
+// drop is armed, and finally fires the kill if this was the counted
+// write.
 func (f *faultConn) Write(b []byte) (int, error) {
 	j := f.inj
 	j.mu.Lock()
@@ -212,13 +225,25 @@ func (f *faultConn) Write(b []byte) (int, error) {
 	if drop {
 		j.dropWrites--
 	}
+	// Count the write on entry: a write whose bytes the coordinator has
+	// already read has always been counted, so arming a kill after a
+	// round trip never counts that round trip's writes.
+	kill := false
+	if j.killWrites > 0 {
+		j.killWrites--
+		kill = j.killWrites == 0
+	}
 	d := j.delay
 	j.mu.Unlock()
 	if d > 0 {
 		time.Sleep(d)
 	}
-	if drop {
-		return len(b), nil
+	n, err := len(b), error(nil)
+	if !drop {
+		n, err = f.Conn.Write(b)
 	}
-	return f.Conn.Write(b)
+	if kill {
+		j.Kill()
+	}
+	return n, err
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -100,12 +101,19 @@ func TestDistributedMatMulBitIdentical(t *testing.T) {
 		name    string
 		l, m, k int64
 	}{
-		{"one-elem", 1, 1, 1},          // single band; N-1 nodes idle
-		{"in-tile", 7, 5, 9},           // everything inside one tile
-		{"tile-cross", 65, 33, 40},     // bands straddle the 32-side tiles
-		{"square", 96, 96, 96},         // 3 bands
-		{"ship-right", 3, 40, 100},     // B larger: shard B's columns
-		{"skewed", 128, 9, 17},         // tall-thin A, 4 bands
+		{"one-elem", 1, 1, 1},      // single band; N-1 nodes idle
+		{"in-tile", 7, 5, 9},       // everything inside one tile
+		{"tile-cross", 65, 33, 40}, // bands straddle the 32-side tiles
+		{"square", 96, 96, 96},     // 3 bands
+		{"ship-right", 3, 40, 100}, // B larger: shard B's columns
+		{"skewed", 128, 9, 17},     // tall-thin A, 4 bands
+		// 32 row bands, the last partial: each peer's share concatenates
+		// many non-adjacent bands (≥8 each at N=2, pinned by
+		// TestFramesPerMatMulIndependentOfBands).
+		{"many-bands", 1000, 64, 16},
+		// 32 column bands of B, the last partial: the sparse kinds ship
+		// B's columns as nonzeros.
+		{"wide-right", 20, 64, 1000},
 	}
 	kinds := []struct {
 		name   string
@@ -197,6 +205,144 @@ func TestExplainRendersNetworkEstimates(t *testing.T) {
 			t.Fatalf("Explain pushed state to node%d: %v", i, held)
 		}
 	}
+	if ns := c.Coord.NetStats(); ns.Frames != 0 {
+		t.Fatalf("Explain sent %d frames", ns.Frames)
+	}
+
+	// On sparse operands the network estimate counts nonzeros, not dense
+	// elements: it lands within 2x of the bytes the run then moves.
+	sa, sb := buildPair(t, c.Sess, 512, 256, 64, true, "")
+	p, err := c.Coord.ExplainPlan(sa, sb, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Coord.MatMul(sa, sb); err != nil {
+		t.Fatal(err)
+	}
+	ns := c.Coord.NetStats()
+	measured := float64(ns.BytesSent+ns.BytesRecv) / (8 * 1024) // default B = 1024
+	if r := p.EstNetBlocks / measured; r < 0.5 || r > 2 {
+		t.Fatalf("estimated %.1f net blocks, measured %.1f (ratio %.2f): want within 2x", p.EstNetBlocks, measured, r)
+	}
+}
+
+// frameCount runs one distributed multiply and returns the frames it
+// cost, checking the product against the single-node reference.
+func frameCount(t *testing.T, c *Cluster, l, m, k int64, sparse bool) int64 {
+	t.Helper()
+	want := singleNodeRef(t, l, m, k, sparse, "")
+	a, b := buildPair(t, c.Sess, l, m, k, sparse, "")
+	before := c.Coord.NetStats().Frames
+	got, err := c.Coord.MatMul(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := c.Coord.NetStats().Frames - before
+	gv, err := got.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gv {
+		if math.Float64bits(gv[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%dx%dx%d: value[%d] = %v, want %v", l, m, k, i, gv[i], want[i])
+		}
+	}
+	return frames
+}
+
+// Each node's share moves in one round trip of each kind, so the frames
+// a multiply costs depend on the number of nodes, not of bands: a
+// broadcast push, a share push, an exec and a fetch per participating
+// node, plus one namespace drop per live node.
+func TestFramesPerMatMulIndependentOfBands(t *testing.T) {
+	c, err := Start(Options{Nodes: 2, Config: deterministicCfg(), Seed: "pr10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Placement of the 32-band shape: each node owns at least 8 bands,
+	// and not all adjacent (the label mirrors Coordinator.bands).
+	owned := map[string][]int{}
+	for band := 0; band < 32; band++ {
+		o, _ := c.Coord.Ring().Owner("matmul/L/1000x64x16", band)
+		owned[o] = append(owned[o], band)
+	}
+	for id, bands := range owned {
+		if len(bands) < 8 || bands[len(bands)-1]-bands[0] == len(bands)-1 {
+			t.Fatalf("%s owns bands %v: want ≥8, not all adjacent", id, bands)
+		}
+	}
+	for _, sparse := range []bool{false, true} {
+		few := frameCount(t, c, 64, 64, 16, sparse)    // 2 bands
+		many := frameCount(t, c, 1000, 64, 16, sparse) // 32 bands
+		wide := frameCount(t, c, 20, 64, 1000, sparse) // 32 column bands
+		if many != 10 || wide != 10 || few > 10 {
+			t.Fatalf("sparse=%v: frames per multiply %d (2 bands), %d (32 row bands), %d (32 col bands); want ≤10, 10, 10",
+				sparse, few, many, wide)
+		}
+	}
+}
+
+// A sparse operand travels as its nonzeros: multiplying a ~1%-dense
+// 1024x1024 operand moves well under a fifth of its dense size, with
+// the broadcast operand and the gathered product included.
+func TestSparseWireBytesScaleWithNNZ(t *testing.T) {
+	const l, m, k = 1024, 1024, 8
+	gen := func(s *riot.Session) (*riot.Matrix, *riot.Matrix) {
+		a, err := s.NewMatrix(l, m, func(i, j int64) float64 {
+			if x := lcg(7, i, j); x%100 == 0 {
+				return float64(x%50) + 1
+			}
+			return 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err = a.Sparse(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.NewMatrix(m, k, denseGen(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, b
+	}
+	ref := riot.NewSession(deterministicCfg())
+	defer ref.Close()
+	ra, rb := gen(ref)
+	rp, err := ra.MatMul(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rp.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Start(Options{Nodes: 2, Config: deterministicCfg(), Seed: "pr10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a, b := gen(c.Sess)
+	got, err := c.Coord.MatMul(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gv, err := got.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gv {
+		if math.Float64bits(gv[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("value[%d] = %v, want %v", i, gv[i], want[i])
+		}
+	}
+	ns := c.Coord.NetStats()
+	wire, dense := ns.BytesSent+ns.BytesRecv, int64(8*l*m)
+	if wire*5 > dense {
+		t.Fatalf("moved %d bytes for a %d-byte dense operand: want ≤ 0.2x", wire, dense)
+	}
 }
 
 // A peer killed mid-scatter yields a descriptive error naming the peer
@@ -272,6 +418,56 @@ func TestRetryOnPeerDeath(t *testing.T) {
 	}
 	if peers := c.Coord.Peers(); len(peers) != 2 {
 		t.Fatalf("dead peer not removed: %v", peers)
+	}
+
+	// A peer killed right after it accepted its share — mid-query, its
+	// share installed, before exec — has that share re-placed under
+	// fresh names on the survivors, and the result stays bit-identical.
+	for _, sparse := range []bool{false, true} {
+		want := singleNodeRef(t, 256, 64, 16, sparse, "")
+		c, err := Start(Options{Nodes: 3, Config: deterministicCfg(), Seed: "pr10",
+			Timeout: 2 * time.Second, Retries: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := buildPair(t, c.Sess, 256, 64, 16, sparse, "")
+		p, err := c.Coord.ExplainPlan(a, b, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first site to own bands dies after two acknowledgements:
+		// the broadcast push and its share push.
+		victim := -1
+		fmt.Sscanf(p.Steps[0].Site, "node%d", &victim)
+		c.Injector(victim).KillAfterWrites(2)
+		got, err := c.Coord.MatMul(a, b)
+		if err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+		gv, err := got.Values()
+		if err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+		for i := range gv {
+			if math.Float64bits(gv[i]) != math.Float64bits(want[i]) {
+				c.Close()
+				t.Fatalf("sparse=%v: retried result diverged at [%d]: %v vs %v", sparse, i, gv[i], want[i])
+			}
+		}
+		received := false
+		for _, name := range c.Node(victim).Held() {
+			received = received || strings.HasSuffix(name, ".sh")
+		}
+		peers := c.Coord.Peers()
+		c.Close()
+		if !received {
+			t.Fatalf("sparse=%v: node%d died before it received its share", sparse, victim)
+		}
+		if len(peers) != 2 {
+			t.Fatalf("sparse=%v: dead peer not removed: %v", sparse, peers)
+		}
 	}
 }
 

@@ -11,12 +11,6 @@ import (
 	"riot"
 )
 
-// Operand kinds on the wire (FrameTilePush).
-const (
-	kindDense  = 0
-	kindSparse = 1
-)
-
 // Node is the serving side of the remote-frame protocol: one riot-serve
 // session plus the tile shards coordinators have pushed to it. A Node
 // serves any number of connections (ServeConn per conn, or
@@ -160,32 +154,48 @@ func (n *Node) dispatch(t FrameType, payload []byte) (FrameType, []byte, error) 
 	return 0, nil, fmt.Errorf("node %s: unknown frame type %#x", n.id, t)
 }
 
-// tilePush installs one operand band: name, kind, dims, row offset (for
-// diagnostics), and row-major values. Sparse bands are re-compressed
-// into tile-compressed storage on arrival, so the node's kernels see
-// the same kind the coordinator held.
+// tilePush installs one pushed operand: name, kind, dims, then the
+// kind's body. Dense operands arrive as row-major values; sparse ones as
+// their nonzeros, tile by tile, and are built straight into
+// tile-compressed storage, so the node's kernels see the same kind the
+// coordinator held. Every count and index is validated against the
+// declared dims and the payload's length before anything is allocated.
 func (n *Node) tilePush(payload []byte) (FrameType, []byte, error) {
 	var r rbuf
 	r.b = payload
 	name := r.str()
 	kind := r.u8()
-	rows := int64(r.u64())
-	cols := int64(r.u64())
-	_ = r.u64() // row offset within the logical array
-	vals := r.f64s(int(rows * cols))
+	var rows, cols int64
+	var vals []float64
+	var side int
+	var tiles []sparseTile
+	switch {
+	case r.fail():
+	case kind == kindDense:
+		rows, cols = r.denseDims()
+		vals = r.f64s(int(rows * cols))
+	case kind == kindSparse:
+		rows, cols, side, tiles = r.sparseBody()
+	default:
+		r.err = fmt.Errorf("cluster: unknown operand kind %d", kind)
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("cluster: %d trailing bytes", len(r.b))
+	}
 	if r.fail() {
 		return 0, nil, fmt.Errorf("node %s: tile-push: %w", n.id, r.err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m, err := n.sess.NewMatrix(rows, cols, func(i, j int64) float64 { return vals[i*cols+j] })
+	var m *riot.Matrix
+	var err error
+	if kind == kindSparse {
+		m, err = installSparse(n.sess, rows, cols, side, tiles)
+	} else {
+		m, err = n.sess.NewMatrix(rows, cols, func(i, j int64) float64 { return vals[i*cols+j] })
+	}
 	if err != nil {
 		return 0, nil, fmt.Errorf("node %s: tile-push %s: %w", n.id, name, err)
-	}
-	if kind == kindSparse {
-		if m, err = m.Sparse(); err != nil {
-			return 0, nil, fmt.Errorf("node %s: tile-push %s: to sparse: %w", n.id, name, err)
-		}
 	}
 	n.held[name] = &heldArray{mat: m, rows: rows, cols: cols}
 	return FrameOK, nil, nil

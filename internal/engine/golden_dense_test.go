@@ -67,9 +67,12 @@ func TestDenseGoldenCounters(t *testing.T) {
 		t.Errorf("device counters read=%d (seq=%d rand=%d) written=%d, want read=53 (seq=47 rand=6) written=9",
 			st.BlocksRead, st.SeqReads, st.RandReads, st.BlocksWritten)
 	}
+	// Hits are 94, not the seed's 98: the 5-element fetch pins the one
+	// tile holding those elements once instead of once per element (one
+	// hit instead of five). Nothing else moves.
 	ps := r.Pool().Stats()
-	if ps.Hits != 98 || ps.Misses != 135 || ps.Evictions != 71 || ps.Flushes != 82 {
-		t.Errorf("pool counters hits/misses/evictions/flushes = %d/%d/%d/%d, want 98/135/71/82",
+	if ps.Hits != 94 || ps.Misses != 135 || ps.Evictions != 71 || ps.Flushes != 82 {
+		t.Errorf("pool counters hits/misses/evictions/flushes = %d/%d/%d/%d, want 94/135/71/82",
 			ps.Hits, ps.Misses, ps.Evictions, ps.Flushes)
 	}
 }

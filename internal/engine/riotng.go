@@ -360,25 +360,50 @@ func (r *RIOT) Fetch(v Value, limit int64) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		count := m.Rows() * m.Cols()
-		if limit >= 0 && limit < count {
-			count = limit
-		}
-		out := make([]float64, count)
-		for k := int64(0); k < count; k++ {
-			val, err := m.At(k/m.Cols(), k%m.Cols())
-			if err != nil {
-				return nil, err
-			}
-			out[k] = val
-		}
-		return out, nil
+		return fetchDenseMatrix(m, limit)
 	}
 	root, err := r.optimize(n)
 	if err != nil {
 		return nil, err
 	}
 	return r.ex.Fetch(root, limit)
+}
+
+// fetchDenseMatrix reads up to limit elements of a dense matrix in
+// row-major order, copying tile-wise: each tile is pinned once and its
+// rows are copied whole instead of pinning per element.
+func fetchDenseMatrix(m *array.Matrix, limit int64) ([]float64, error) {
+	cols := m.Cols()
+	count := m.Rows() * cols
+	if limit >= 0 && limit < count {
+		count = limit
+	}
+	out := make([]float64, count)
+	tr, tc := m.TileDims()
+	gr, gc := m.GridDims()
+	for ti := 0; ti < gr; ti++ {
+		if int64(ti)*int64(tr)*cols >= count {
+			break // every element of this tile row is past the limit
+		}
+		for tj := 0; tj < gc; tj++ {
+			if int64(ti)*int64(tr)*cols+int64(tj)*int64(tc) >= count {
+				break
+			}
+			t, err := m.PinTile(ti, tj)
+			if err != nil {
+				return nil, err
+			}
+			for i := t.RowLo; i < t.RowHi; i++ {
+				k := i*cols + t.ColLo
+				if k >= count {
+					break
+				}
+				copy(out[k:min(k+t.ColHi-t.ColLo, count)], t.Row(i))
+			}
+			t.Release()
+		}
+	}
+	return out, nil
 }
 
 // Sum implements Engine.

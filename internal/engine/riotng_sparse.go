@@ -201,6 +201,30 @@ func countNonzero(vals []float64) int64 {
 	return n
 }
 
+// NewSparseMatrix builds a rows×cols sparse source tile by tile, with no
+// dense intermediate: fill sets the tiles through a Builder over the
+// instance's pool, in the square-tile geometry NewMatrix uses. side is
+// the tile side the caller's tiles were cut to; a mismatch is refused
+// before anything is allocated. A fill error abandons the build.
+func (r *RIOT) NewSparseMatrix(rows, cols int64, side int, fill func(*sparse.Builder) error) (Value, error) {
+	if tr, _, err := array.TileDimsFor(r.ex.Pool().Device().BlockElems(), array.SquareTiles); err != nil || tr != side {
+		return nil, fmt.Errorf("riot: tiles of side %d do not match the session's side %d", side, tr)
+	}
+	b, err := sparse.NewBuilder(r.ex.Pool(), r.fresh("sm"), rows, cols, array.Options{Shape: array.SquareTiles})
+	if err != nil {
+		return nil, err
+	}
+	if err := fill(b); err != nil {
+		b.Abandon()
+		return nil, err
+	}
+	sm, err := b.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return r.g.SourceSparseMat(sm), nil
+}
+
 // WrapSparseVector lifts a stored sparse vector into the instance's DAG
 // (the catalog's read path for sparse entries).
 func (r *RIOT) WrapSparseVector(v *sparse.Vector) Value { return r.g.SourceSparseVec(v) }

@@ -38,10 +38,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"riot/internal/array"
 	"riot/internal/engine"
 	"riot/internal/plan"
 	"riot/internal/riotdb"
 	"riot/internal/rlang"
+	"riot/internal/sparse"
 )
 
 // Backend selects the evaluation engine.
@@ -491,23 +493,33 @@ func (m *Matrix) Sparse() (*Matrix, error) {
 	return m.lift(se.ToSparse(m.val))
 }
 
-// Kind forces the matrix and reports its natural storage kind, "dense"
-// or "sparse". Kind-free backends always answer "dense". Cluster
-// coordinators use this to ship a shard in the same kind its owner
-// holds, so remote kernels see the storage the local ones would.
-func (m *Matrix) Kind() (string, error) {
+// Stored forces the matrix and returns the stored array behind it in its
+// natural kind: exactly one of dense and sp is non-nil. Storage-level
+// callers in this module (the cluster coordinator) read it tile by tile
+// instead of fetching a row-major copy. RIOT backend only.
+func (m *Matrix) Stored() (dense *array.Matrix, sp *sparse.Matrix, err error) {
 	rt, ok := m.s.eng.(*engine.RIOT)
 	if !ok {
-		return "dense", nil
+		return nil, nil, fmt.Errorf("riot: stored arrays require the RIOT backend (engine %q)", m.s.eng.Name())
 	}
-	_, sp, err := rt.ForceAnyMatrix(m.val)
+	return rt.ForceAnyMatrix(m.val)
+}
+
+// NewSparseMatrix builds a rows×cols sparse matrix tile by tile: fill
+// sets the tiles through the Builder, with no dense intermediate (the
+// cluster node's install path for shipped nonzeros). side is the square
+// tile side the caller's tiles were cut to; it must match the session's.
+// RIOT backend only.
+func (s *Session) NewSparseMatrix(rows, cols int64, side int, fill func(*sparse.Builder) error) (*Matrix, error) {
+	rt, ok := s.eng.(*engine.RIOT)
+	if !ok {
+		return nil, fmt.Errorf("riot: stored arrays require the RIOT backend (engine %q)", s.eng.Name())
+	}
+	v, err := rt.NewSparseMatrix(rows, cols, side, fill)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if sp != nil {
-		return "sparse", nil
-	}
-	return "dense", nil
+	return &Matrix{s: s, val: v}, nil
 }
 
 // Dense converts a sparse matrix handle back to dense tiles (identity
