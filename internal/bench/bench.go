@@ -24,6 +24,7 @@ import (
 	"riot/internal/plan"
 	"riot/internal/riotdb"
 	"riot/internal/rlang"
+	"riot/internal/scalarop"
 )
 
 // example1Script is the paper's Example 1, in riotscript.
@@ -369,7 +370,7 @@ func ValidateModel(sizes []int64, w io.Writer) ([]ValidateRow, error) {
 			dev.ResetStats()
 			start := time.Now()
 			if kernel == "square-tiled" {
-				_, err = linalg.MatMulTiled(pool, "c", a, b)
+				_, err = linalg.MatMulTiled(pool, "c", a, b, 1, scalarop.Standard)
 			} else {
 				_, err = linalg.MatMulBNLJ(pool, "c", a, b, array.Options{Shape: array.RowTiles})
 			}
@@ -537,7 +538,7 @@ func ReadaheadAblation(maxWorkers int, w io.Writer) ([]ReadaheadRow, error) {
 		dev.ResetStats()
 		pool.ResetStats()
 		start := time.Now()
-		c, err := linalg.MatMulTiledWorkers(pool, "c", a, b, workers)
+		c, err := linalg.MatMulTiled(pool, "c", a, b, workers, scalarop.Standard)
 		if err != nil {
 			return ReadaheadRow{}, err
 		}
@@ -836,7 +837,7 @@ func WorkersAblation(n int64, workersList []int, w io.Writer) ([]WorkersRow, err
 		}
 		dev.ResetStats()
 		start := time.Now()
-		c, err := linalg.MatMulTiledWorkers(pool, "c", a, b, workers)
+		c, err := linalg.MatMulTiled(pool, "c", a, b, workers, scalarop.Standard)
 		if err != nil {
 			return nil, err
 		}
@@ -1088,8 +1089,8 @@ func walAblationRun(dir, name string, mode catalog.WALMode, blockElems, frames i
 // GFlopsRow is one arithmetic-throughput measurement of the tiled
 // multiply: a compute kernel against a cold or warm buffer pool.
 type GFlopsRow struct {
-	Kernel string  // "naive" or "micro"
-	Pool   string  // "cold" (48 frames) or "warm" (everything resident)
+	Kernel string // "naive" or "micro"
+	Pool   string // "cold" (48 frames) or "warm" (everything resident)
 	N      int64
 	WallNS int64
 	GFlops float64 // 2n³ / wall seconds, in 1e9 flop/s

@@ -35,7 +35,7 @@ type ClusterRow struct {
 // nonzero.
 func ClusterAblation(w io.Writer) ([]ClusterRow, error) {
 	const (
-		l          = 512     // sharded dimension: 32 tile-row bands
+		l          = 512 // sharded dimension: 32 tile-row bands
 		m          = 256
 		k          = 64      // small broadcast operand
 		blockElems = 256     // 16×16 tiles

@@ -85,7 +85,7 @@ func (r *RIOT) closureSparse(s *sparse.Matrix, temp bool, rows int64, ring *scal
 	pool := r.ex.Pool()
 	c, own := s, temp
 	for span := int64(1); span < rows-1; span *= 2 {
-		sq, err := linalg.MatMulSparseSparseRing(pool, r.fresh("cl_sq"), c, c, ring)
+		sq, err := linalg.MatMulSparseSparse(pool, r.fresh("cl_sq"), c, c, ring)
 		if err != nil {
 			if own {
 				c.Free()
@@ -129,7 +129,7 @@ func (r *RIOT) closureDense(d *array.Matrix, temp bool, rows int64, ring *scalar
 		x, own = sq, true
 	}
 	for span := int64(1); span < rows-1; span *= 2 {
-		y, err := linalg.MatMulTiledRing(pool, r.fresh("cl_sq"), x, x, r.ex.Workers, ring)
+		y, err := linalg.MatMulTiled(pool, r.fresh("cl_sq"), x, x, r.ex.Workers, ring)
 		if err != nil {
 			if own {
 				x.Free()

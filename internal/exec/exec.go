@@ -1111,9 +1111,8 @@ func (e *Executor) forceMatAny(n *algebra.Node, name string) (forcedMat, error) 
 			b.free()
 		}()
 		e.elementsComputed.Add(a.rows() * b.cols())
-		// The node's ring selects the kernel arithmetic; the Ring kernel
-		// variants delegate to the legacy code paths verbatim for the
-		// standard ring, and the flop counter is labelled per ring.
+		// The node's ring selects the kernel arithmetic, and the flop
+		// counter is labelled per ring.
 		ring, err := scalarop.Ring(n.Ring)
 		if err != nil {
 			return forcedMat{}, err
@@ -1136,18 +1135,18 @@ func (e *Executor) forceMatAny(n *algebra.Node, name string) (forcedMat, error) 
 		switch {
 		case a.s != nil && b.s != nil:
 			e.addFlops(matmulOp, sparseProductFlops(a.s.NNZ(), b.s.NNZ(), a.cols()))
-			t, err := linalg.MatMulSparseSparseRing(e.pool, name, a.s, b.s, ring)
+			t, err := linalg.MatMulSparseSparse(e.pool, name, a.s, b.s, ring)
 			return forcedMat{s: t, temp: true}, err
 		case a.s != nil:
 			e.addFlops(matmulOp, a.s.NNZ()*b.cols())
-			t, err := linalg.MatMulSparseDenseRing(e.pool, name, a.s, b.d, ring)
+			t, err := linalg.MatMulSparseDense(e.pool, name, a.s, b.d, ring)
 			if err == nil {
 				e.maybeInstallMat(n, t)
 			}
 			return forcedMat{d: t, temp: true}, err
 		case b.s != nil:
 			e.addFlops(matmulOp, b.s.NNZ()*a.rows())
-			t, err := linalg.MatMulDenseSparseRing(e.pool, name, a.d, b.s, ring)
+			t, err := linalg.MatMulDenseSparse(e.pool, name, a.d, b.s, ring)
 			if err == nil {
 				e.maybeInstallMat(n, t)
 			}
@@ -1164,7 +1163,7 @@ func (e *Executor) forceMatAny(n *algebra.Node, name string) (forcedMat, error) 
 			atr, atc := a.d.TileDims()
 			btr, btc := b.d.TileDims()
 			if atr == atc && btr == btc && atr == btr {
-				t, err = linalg.MatMulTiledRing(e.pool, name, a.d, b.d, e.Workers, ring)
+				t, err = linalg.MatMulTiled(e.pool, name, a.d, b.d, e.Workers, ring)
 			} else {
 				t, err = linalg.MatMulNaiveRing(e.pool, name, a.d, b.d,
 					array.Options{Shape: array.SquareTiles, Lin: a.d.Lin()}, ring)
@@ -1172,7 +1171,7 @@ func (e *Executor) forceMatAny(n *algebra.Node, name string) (forcedMat, error) 
 		} else {
 			switch e.curPlan.Algo(n) {
 			case plan.AlgoSquareTiled:
-				t, err = linalg.MatMulTiledWorkers(e.pool, name, a.d, b.d, e.Workers)
+				t, err = linalg.MatMulTiled(e.pool, name, a.d, b.d, e.Workers, ring)
 			case plan.AlgoBNLJSquare:
 				// Square tiling but BNLJ is cheaper at this size.
 				t, err = linalg.MatMulBNLJ(e.pool, name, a.d, b.d, array.Options{Shape: array.SquareTiles, Lin: a.d.Lin()})

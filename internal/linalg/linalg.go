@@ -136,41 +136,45 @@ func MatMulBNLJ(pool *buffer.Pool, name string, a, b *array.Matrix, opts array.O
 	return t, pool.FlushAll()
 }
 
-// MatMulTiled multiplies square-tiled matrices with the Appendix A
-// schedule. Memory is split three ways; each part holds a q×q block of
-// tiles (q = √(frames/3)), i.e. a p×p submatrix with p = q·√B ≈ √(M/3).
-func MatMulTiled(pool *buffer.Pool, name string, a, b *array.Matrix) (*array.Matrix, error) {
-	return MatMulTiledWorkers(pool, name, a, b, 1)
-}
-
-// MatMulTiledWorkers is MatMulTiled with the output super-blocks
-// dispatched to up to workers goroutines. Each in-flight worker pins
-// three q×q tile blocks at once, so the super-block side is shrunk to
-// q = √(capacity/(3·W)) and the in-flight worker count is capped at
-// capacity / (3·q²): the kernel never holds more pinned frames than the
-// pool's budget no matter how many workers are requested. Workers
-// produce disjoint output super-blocks (input tiles are shared
-// read-only), and each output tile accumulates its k-products in the
-// same order as the sequential schedule, so the result is bit-identical
-// for any worker count. workers <= 1 runs the exact sequential schedule.
-func MatMulTiledWorkers(pool *buffer.Pool, name string, a, b *array.Matrix, workers int) (*array.Matrix, error) {
-	return MatMulTiledKernel(pool, name, a, b, workers, KernelMicro)
-}
-
-// MatMulTiledKernel is MatMulTiledWorkers with an explicit choice of
-// inner kernel. Both kernels run the identical pin/prefetch/flush
-// schedule; the choice only selects the arithmetic between pin and
-// release, which is what the gflops ablation measures.
-func MatMulTiledKernel(pool *buffer.Pool, name string, a, b *array.Matrix, workers int, kern Kernel) (*array.Matrix, error) {
-	return matMulTiledRing(pool, name, a, b, workers, kern, scalarop.Standard)
-}
-
-// matMulTiledRing runs the tiled schedule over an arbitrary semi-ring.
+// MatMulTiled multiplies square-tiled matrices over ring with the
+// Appendix A schedule. Memory is split three ways; each part holds a
+// q×q block of tiles (q = √(frames/3)), i.e. a p×p submatrix with
+// p = q·√B ≈ √(M/3).
+//
+// The output super-blocks are dispatched to up to workers goroutines.
+// Each in-flight worker pins three q×q tile blocks at once, so the
+// super-block side is shrunk to q = √(capacity/(3·W)) and the in-flight
+// worker count is capped at capacity / (3·q²): the kernel never holds
+// more pinned frames than the pool's budget no matter how many workers
+// are requested. Workers produce disjoint output super-blocks (input
+// tiles are shared read-only), and each output tile accumulates its
+// k-products in the same order as the sequential schedule, so the
+// result is bit-identical for any worker count. workers <= 1 runs the
+// exact sequential schedule.
+//
 // The schedule — super-block sizing, pin/prefetch/flush order, worker
 // clamping — is ring-independent; the ring only selects the arithmetic
-// between pin and release, exactly like the Kernel choice. The standard
-// ring takes the legacy code paths verbatim.
-func matMulTiledRing(pool *buffer.Pool, name string, a, b *array.Matrix, workers int, kern Kernel, ring *scalarop.Semiring) (*array.Matrix, error) {
+// between pin and release. The standard ring runs the packed
+// microkernel; every other ring runs the row-wise multiply-add.
+func MatMulTiled(pool *buffer.Pool, name string, a, b *array.Matrix, workers int, ring *scalarop.Semiring) (*array.Matrix, error) {
+	kern := KernelMicro
+	if !ring.IsStandard() {
+		kern = KernelNaive
+	}
+	return matMulTiled(pool, name, a, b, workers, kern, ring)
+}
+
+// MatMulTiledKernel is the standard-ring MatMulTiled with an explicit
+// choice of inner kernel. Both kernels run the identical
+// pin/prefetch/flush schedule; the choice only selects the arithmetic
+// between pin and release, which is what the gflops ablation measures.
+func MatMulTiledKernel(pool *buffer.Pool, name string, a, b *array.Matrix, workers int, kern Kernel) (*array.Matrix, error) {
+	return matMulTiled(pool, name, a, b, workers, kern, scalarop.Standard)
+}
+
+// matMulTiled runs the tiled schedule with the given inner kernel and
+// ring.
+func matMulTiled(pool *buffer.Pool, name string, a, b *array.Matrix, workers int, kern Kernel, ring *scalarop.Semiring) (*array.Matrix, error) {
 	if a.Cols() != b.Rows() {
 		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d * %dx%d", a.Rows(), a.Cols(), b.Rows(), b.Cols())
 	}
@@ -338,8 +342,10 @@ func multiplySuperBlock(t, a, b *array.Matrix, ti0, tj0, q, agr, agc, bgc int, p
 			K := int(min(int64(tk1)*int64(side), a.Cols()) - int64(tk0)*int64(side))
 			multiplyPanels(sc, atiles, btiles, ti0, ti1, tk0, tk1, tj0, tj1, side, M, N, K)
 		} else {
-			// Naive: multiply the pinned super-blocks tile by tile
-			// through the per-element accessors.
+			// Multiply the pinned super-blocks tile by tile: the
+			// standard ring through the per-element accessors (the
+			// baseline the gflops ablation measures), any other ring
+			// through its row-wise multiply-add.
 			for ti := ti0; ti < ti1; ti++ {
 				for tj := tj0; tj < tj1; tj++ {
 					ct := ctiles[(ti-ti0)*(tj1-tj0)+(tj-tj0)]

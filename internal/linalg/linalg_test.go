@@ -9,6 +9,7 @@ import (
 	"riot/internal/buffer"
 	"riot/internal/costmodel"
 	"riot/internal/disk"
+	"riot/internal/scalarop"
 )
 
 // fillRand loads m with deterministic position-based pseudo-random
@@ -89,7 +90,7 @@ func TestMatMulTiledCorrectness(t *testing.T) {
 		fillRand(t, a, 1)
 		fillRand(t, b, 2)
 		want := refMatMul(t, a, b)
-		c, err := MatMulTiled(pool, "c", a, b)
+		c, err := MatMulTiled(pool, "c", a, b, 1, scalarop.Standard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestKernelsAgree(t *testing.T) {
 	bSq := mk("bSq", 14, 22, array.SquareTiles, 8)
 	aRow := mk("aRow", 18, 14, array.RowTiles, 7)
 	bCol := mk("bCol", 14, 22, array.ColTiles, 8)
-	cTiled, err := MatMulTiled(pool, "c1", aSq, bSq)
+	cTiled, err := MatMulTiled(pool, "c1", aSq, bSq, 1, scalarop.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestTiledMatMulMatchesCostModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev.ResetStats()
-		if _, err := MatMulTiled(pool, "c", a, b); err != nil {
+		if _, err := MatMulTiled(pool, "c", a, b, 1, scalarop.Standard); err != nil {
 			t.Fatal(err)
 		}
 		measured := float64(dev.Stats().TotalBlocks())
@@ -216,7 +217,7 @@ func TestTiledBeatsBNLJUnderTightMemory(t *testing.T) {
 		dev.ResetStats()
 		var err error
 		if kernel == "tiled" {
-			_, err = MatMulTiled(pool, "c", a, b)
+			_, err = MatMulTiled(pool, "c", a, b, 1, scalarop.Standard)
 		} else {
 			_, err = MatMulBNLJ(pool, "c", a, b, array.Options{Shape: array.RowTiles})
 		}
@@ -237,7 +238,7 @@ func TestDimensionMismatch(t *testing.T) {
 	pool := buffer.New(dev, 16)
 	a, _ := array.NewMatrix(pool, "a", 4, 5, array.Options{Shape: array.SquareTiles})
 	b, _ := array.NewMatrix(pool, "b", 6, 4, array.Options{Shape: array.SquareTiles})
-	if _, err := MatMulTiled(pool, "c", a, b); err == nil {
+	if _, err := MatMulTiled(pool, "c", a, b, 1, scalarop.Standard); err == nil {
 		t.Fatal("expected dimension error")
 	}
 	if _, err := MatMulBNLJ(pool, "c", a, b, array.Options{}); err == nil {

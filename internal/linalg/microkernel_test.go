@@ -19,15 +19,15 @@ import (
 // the same k order. Tolerance-free: any reordering shows up here.
 func TestMicroMatchesNaiveBitIdentical(t *testing.T) {
 	shapes := [][3]int64{
-		{20, 20, 20},  // multiple of the tile side
-		{33, 17, 25},  // every dimension clips its edge tiles
-		{5, 40, 9},    // wide inner dimension
-		{1, 17, 1},    // scalar-shaped result
-		{1, 5, 40},    // single row
-		{40, 5, 1},    // single column
-		{3, 3, 3},     // smaller than one tile
-		{19, 1, 23},   // k=1: one fused multiply per element
-		{64, 64, 64},  // several super-blocks under the small pool
+		{20, 20, 20}, // multiple of the tile side
+		{33, 17, 25}, // every dimension clips its edge tiles
+		{5, 40, 9},   // wide inner dimension
+		{1, 17, 1},   // scalar-shaped result
+		{1, 5, 40},   // single row
+		{40, 5, 1},   // single column
+		{3, 3, 3},    // smaller than one tile
+		{19, 1, 23},  // k=1: one fused multiply per element
+		{64, 64, 64}, // several super-blocks under the small pool
 	}
 	// Randomized shapes on top of the fixed edge cases.
 	rng := rand.New(rand.NewSource(42))

@@ -8,6 +8,7 @@ import (
 	"riot/internal/array"
 	"riot/internal/buffer"
 	"riot/internal/disk"
+	"riot/internal/scalarop"
 )
 
 // newParallelPool builds a sharded pool whose budget the test matrices
@@ -50,7 +51,7 @@ func TestMatMulTiledWorkersMatchesSequential(t *testing.T) {
 		}
 		fillRand(t, a, 1)
 		fillRand(t, b, 2)
-		c, err := MatMulTiledWorkers(pool, "c", a, b, workers)
+		c, err := MatMulTiled(pool, "c", a, b, workers, scalarop.Standard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestMatMulTiledWorkersRespectsBudget(t *testing.T) {
 	}
 	fillRand(t, a, 3)
 	fillRand(t, b, 4)
-	c, err := MatMulTiledWorkers(pool, "c", a, b, 64)
+	c, err := MatMulTiled(pool, "c", a, b, 64, scalarop.Standard)
 	if err != nil {
 		t.Fatalf("budget-clamped parallel multiply failed: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestMatMulTiledWorkersRespectsBudget(t *testing.T) {
 	b2, _ := array.NewMatrix(pool2, "b", n, n, array.Options{Shape: array.SquareTiles})
 	fillRand(t, a2, 3)
 	fillRand(t, b2, 4)
-	want, err := MatMulTiled(pool2, "c", a2, b2)
+	want, err := MatMulTiled(pool2, "c", a2, b2, 1, scalarop.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestParallelMatMulSpeedup(t *testing.T) {
 		fillRand(t, a, 1)
 		fillRand(t, b, 2)
 		start := time.Now()
-		if _, err := MatMulTiledWorkers(pool, "c", a, b, workers); err != nil {
+		if _, err := MatMulTiled(pool, "c", a, b, workers, scalarop.Standard); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -196,7 +197,7 @@ func benchMatMulWorkers(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := MatMulTiledWorkers(pool, "c", am, bm, workers); err != nil {
+		if _, err := MatMulTiled(pool, "c", am, bm, workers, scalarop.Standard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,14 +9,14 @@ import (
 )
 
 // Ring-generic dense kernels. The tiled schedule (super-block sizing,
-// pin/prefetch/flush order, worker clamping) is shared with the
-// standard kernels in linalg.go — a semi-ring changes which arithmetic
-// runs between pin and release, never which blocks move. The packed
-// 4×4 microkernel stays a standard-ring fast path: its FMA accumulation
-// order is part of the bit-identical contract and has no analogue for
-// min/max folds, so non-standard rings take the tile-pair loop.
+// pin/prefetch/flush order, worker clamping) lives in MatMulTiled in
+// linalg.go — a semi-ring changes which arithmetic runs between pin and
+// release, never which blocks move. The packed 4×4 microkernel stays a
+// standard-ring fast path: its accumulation order is part of the
+// bit-identical contract and has no analogue for min/max folds, so
+// non-standard rings take the row-wise tile-pair loop.
 //
-// Storage convention, shared with the sparse ring kernels: under a
+// Storage convention, shared with the sparse kernels: under a
 // non-standard ring a stored float64 0 denotes the ring's Zero, for
 // dense tiles exactly as for absent sparse elements. That makes the
 // array kind a pure storage property — a dense and a sparse operand
@@ -28,16 +28,6 @@ import (
 // mixed-sign weights can lose an exact-0 path sum, and the closure
 // kernels keep their ⊗-identity diagonal (minplus One = 0) implicit
 // until the final verbatim densify for exactly this reason.
-
-// MatMulTiledRing multiplies a by b over the given semi-ring with the
-// Appendix A tiled schedule. The standard ring takes MatMulTiledWorkers
-// (packed microkernel and all) verbatim.
-func MatMulTiledRing(pool *buffer.Pool, name string, a, b *array.Matrix, workers int, ring *scalarop.Semiring) (*array.Matrix, error) {
-	if ring.IsStandard() {
-		return MatMulTiledWorkers(pool, name, a, b, workers)
-	}
-	return matMulTiledRing(pool, name, a, b, workers, KernelNaive, ring)
-}
 
 // MatMulNaiveRing is the triple-loop fallback over an arbitrary
 // semi-ring, for operands whose tiling the tiled schedule rejects.
@@ -83,34 +73,15 @@ func MatMulNaiveRing(pool *buffer.Pool, name string, a, b *array.Matrix, opts ar
 	return t, pool.FlushAll()
 }
 
-// multiplyTilePairRing is multiplyTilePair over a semi-ring in the
-// storage domain: an element reading 0 (or the ring's Zero itself) is
-// absent and annihilates — the same work-skip the standard kernel's
-// `av == 0` performs, justified by the same annihilation law. The
-// output tile accumulates in the storage domain too (fresh tiles arrive
-// zeroed = all-absent), so no identity seeding pass is needed.
+// multiplyTilePairRing accumulates at⊗bt into ct row by row with the
+// ring's multiply-add, in the storage domain: an element reading 0 (or
+// the ring's Zero itself) is absent and annihilates, and fresh output
+// tiles arrive zeroed = all-absent, so no identity seeding is needed.
 func multiplyTilePairRing(at, bt, ct *array.Tile, ring *scalarop.Semiring) {
 	for i := ct.RowLo; i < ct.RowHi; i++ {
-		for k := at.ColLo; k < at.ColHi; k++ {
-			av := at.At(i, k)
-			if av == 0 || av == ring.Zero {
-				continue
-			}
-			for j := ct.ColLo; j < ct.ColHi; j++ {
-				bv := bt.At(k, j)
-				if bv == 0 || bv == ring.Zero {
-					continue
-				}
-				m := ring.Mul(av, bv)
-				if m == ring.Zero {
-					continue
-				}
-				if cur := ct.At(i, j); cur == 0 {
-					ct.Set(i, j, m)
-				} else {
-					ct.Set(i, j, ring.Add(cur, m))
-				}
-			}
+		crow := ct.Row(i)
+		for kk, av := range at.Row(i) {
+			ring.MulAddRow(crow, av, bt.Row(at.ColLo+int64(kk)))
 		}
 	}
 }

@@ -47,111 +47,117 @@ func toMem(t *testing.T, m *array.Matrix) [][]float64 {
 	return out
 }
 
-// TestRingMatMulSparseVsDense is the tentpole's agreement property: the
-// min-plus product computed by every kernel variant — tiled dense,
-// sparse×dense, dense×sparse, sparse×sparse — matches an in-memory
-// reference elementwise at densities {0, .01, .1, 1}. Operands are fed
-// both verbatim (absent = explicit +Inf via DensifyRing) and raw (the
-// storage-domain convention: stored 0 = absent); results are read back
-// under absent ⇔ ring.Zero regardless of kind.
+// TestRingMatMulSparseVsDense is the semi-ring agreement property: for
+// every non-standard ring, the product computed by every kernel variant
+// — tiled dense, sparse×dense, dense×sparse, sparse×sparse — matches an
+// in-memory reference elementwise at densities {0, .01, .1, 1}.
+// Operands are fed both verbatim (absent = explicit ring.Zero via
+// DensifyRing) and raw (the storage-domain convention: stored 0 =
+// absent); results are read back under absent ⇔ ring.Zero regardless
+// of kind.
 func TestRingMatMulSparseVsDense(t *testing.T) {
-	ring, err := scalarop.Ring("minplus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []float64{0, 0.01, 0.1, 1.0} {
-		pool := buffer.New(disk.NewDevice(64), 64) // 8×8 tiles
-		a := genDense(t, pool, "a", 37, 29, d, 1)
-		b := genDense(t, pool, "b", 29, 41, d, 2)
-		sa, err := sparse.FromDense(pool, "sa", a)
+	for _, name := range scalarop.RingNames() {
+		ring, err := scalarop.Ring(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := sparse.FromDense(pool, "sb", b)
-		if err != nil {
-			t.Fatal(err)
+		if ring.IsStandard() {
+			continue
 		}
-		// Ring-convention dense operands: absent elements become +Inf.
-		da, err := DensifyRing(pool, "da", sa, ring, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := DensifyRing(pool, "db", sb, ring, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ringRef(toMem(t, da), toMem(t, db), ring)
-
-		// storageAt reads a storage-domain result: stored 0 is absent,
-		// i.e. the ring's Zero.
-		storageAt := func(at func(i, j int64) (float64, error)) func(i, j int64) (float64, error) {
-			return func(i, j int64) (float64, error) {
-				v, err := at(i, j)
-				if err != nil || v != 0 {
-					return v, err
-				}
-				return ring.Zero, nil
+		for _, d := range []float64{0, 0.01, 0.1, 1.0} {
+			pool := buffer.New(disk.NewDevice(64), 64) // 8×8 tiles
+			a := genDense(t, pool, "a", 37, 29, d, 1)
+			b := genDense(t, pool, "b", 29, 41, d, 2)
+			sa, err := sparse.FromDense(pool, "sa", a)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			sb, err := sparse.FromDense(pool, "sb", b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Ring-convention dense operands: absent elements become +Inf.
+			da, err := DensifyRing(pool, "da", sa, ring, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := DensifyRing(pool, "db", sb, ring, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ringRef(toMem(t, da), toMem(t, db), ring)
 
-		check := func(ctx string, at func(i, j int64) (float64, error)) {
-			t.Helper()
-			for i := range want {
-				for j := range want[i] {
-					g, err := at(int64(i), int64(j))
-					if err != nil {
-						t.Fatal(err)
+			// storageAt reads a storage-domain result: stored 0 is absent,
+			// i.e. the ring's Zero.
+			storageAt := func(at func(i, j int64) (float64, error)) func(i, j int64) (float64, error) {
+				return func(i, j int64) (float64, error) {
+					v, err := at(i, j)
+					if err != nil || v != 0 {
+						return v, err
 					}
-					if g != want[i][j] {
-						t.Fatalf("d=%g %s: (%d,%d) = %g, want %g", d, ctx, i, j, g, want[i][j])
-					}
+					return ring.Zero, nil
 				}
 			}
-		}
 
-		dd, err := MatMulTiledRing(pool, "dd", da, db, 1, ring)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("dense×dense tiled", storageAt(dd.At))
+			check := func(ctx string, at func(i, j int64) (float64, error)) {
+				t.Helper()
+				for i := range want {
+					for j := range want[i] {
+						g, err := at(int64(i), int64(j))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if g != want[i][j] {
+							t.Fatalf("%s d=%g %s: (%d,%d) = %g, want %g", name, d, ctx, i, j, g, want[i][j])
+						}
+					}
+				}
+			}
 
-		ddw, err := MatMulTiledRing(pool, "ddw", da, db, 4, ring)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("dense×dense tiled 4 workers", storageAt(ddw.At))
+			dd, err := MatMulTiled(pool, "dd", da, db, 1, ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("dense×dense tiled", storageAt(dd.At))
 
-		// Raw operands (0 = absent) must multiply exactly like their
-		// verbatim densifications — the kind/storage-agnostic contract.
-		ddr, err := MatMulTiledRing(pool, "ddr", a, b, 1, ring)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("dense×dense raw operands", storageAt(ddr.At))
+			ddw, err := MatMulTiled(pool, "ddw", da, db, 4, ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("dense×dense tiled 4 workers", storageAt(ddw.At))
 
-		nv, err := MatMulNaiveRing(pool, "nv", da, db, array.Options{Shape: array.SquareTiles}, ring)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("dense×dense naive", storageAt(nv.At))
+			// Raw operands (0 = absent) must multiply exactly like their
+			// verbatim densifications — the kind/storage-agnostic contract.
+			ddr, err := MatMulTiled(pool, "ddr", a, b, 1, ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("dense×dense raw operands", storageAt(ddr.At))
 
-		sd, err := MatMulSparseDenseRing(pool, "sd", sa, db, ring)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("sparse×dense", storageAt(sd.At))
+			nv, err := MatMulNaiveRing(pool, "nv", da, db, array.Options{Shape: array.SquareTiles}, ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("dense×dense naive", storageAt(nv.At))
 
-		ds, err := MatMulDenseSparseRing(pool, "ds", da, sb, ring)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("dense×sparse", storageAt(ds.At))
+			sd, err := MatMulSparseDense(pool, "sd", sa, db, ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("sparse×dense", storageAt(sd.At))
 
-		ss, err := MatMulSparseSparseRing(pool, "ss", sa, sb, ring)
-		if err != nil {
-			t.Fatal(err)
+			ds, err := MatMulDenseSparse(pool, "ds", da, sb, ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("dense×sparse", storageAt(ds.At))
+
+			ss, err := MatMulSparseSparse(pool, "ss", sa, sb, ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("sparse×sparse", storageAt(ss.At))
 		}
-		check("sparse×sparse", storageAt(ss.At))
 	}
 }
 
@@ -226,7 +232,7 @@ func TestRingClosureMatchesFloydWarshall(t *testing.T) {
 	// Sparse closure: k = ⌈log₂(n-1)⌉ squarings cover every simple path.
 	c := sa
 	for span := int64(1); span < int64(n-1); span *= 2 {
-		sq, err := MatMulSparseSparseRing(pool, "sq", c, c, ring)
+		sq, err := MatMulSparseSparse(pool, "sq", c, c, ring)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +303,7 @@ func TestRingClosureDenseMatchesFloydWarshall(t *testing.T) {
 
 	x := adj
 	for span := int64(1); span < int64(n-1); span *= 2 {
-		y, err := MatMulTiledRing(pool, "sq", x, x, 2, ring)
+		y, err := MatMulTiled(pool, "sq", x, x, 2, ring)
 		if err != nil {
 			t.Fatal(err)
 		}

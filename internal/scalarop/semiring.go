@@ -35,9 +35,9 @@ type Semiring struct {
 	Mul  BinFunc // ⊗
 }
 
-// IsStandard reports whether this is the (+, ×) ring the legacy kernels
-// hard-code — the fast paths (packed microkernel, fused slice loops)
-// apply only to it.
+// IsStandard reports whether this is the (+, ×) ring. The packed
+// microkernel applies only to it, and MulAdd runs plain IEEE
+// arithmetic for it.
 func (r *Semiring) IsStandard() bool { return r.Name == "standard" }
 
 // ringMin and ringMax fold with the same NaN discipline as the
@@ -111,55 +111,49 @@ func RingNames() []string {
 	return out
 }
 
-// AddSlices is the ring's vectorized ⊕: dst[i] = a[i] ⊕ b[i]. The
-// standard ring takes the fused AddSlices loop; other rings map the
-// ring's Add.
-func (r *Semiring) AddSlices(dst, a, b []float64) {
+// MulAdd returns y ⊕ (a ⊗ b), the one multiply-add every matrix
+// kernel runs per pair of elements. For the standard ring it is y + a*b
+// in plain IEEE arithmetic: nothing is skipped, so 0·Inf still yields
+// NaN, and a kernel skips only the elements a sparse operand does not
+// store. Every other ring works in the storage domain, where float64 0
+// is absent and denotes Zero: an absent or Zero factor annihilates and
+// leaves y as it is, a product equal to Zero adds nothing, and an
+// absent y takes the product as it is.
+func (r *Semiring) MulAdd(y, a, b float64) float64 {
 	if r.IsStandard() {
-		AddSlices(dst, a, b)
-		return
+		return y + a*b
 	}
-	ZipSlices(dst, a, b, r.Add)
+	return r.mulAdd(y, a, b)
 }
 
-// AXPY is the ring's fused multiply-accumulate: y[i] = y[i] ⊕ (a ⊗
-// x[i]) — for minplus, relaxation of y by the shifted x. The standard
-// ring takes the fused AXPY loop.
-func (r *Semiring) AXPY(y, x []float64, a float64) {
+// MulAddRow is the row form of MulAdd: y[j] = y[j] ⊕ (a ⊗ x[j]) for
+// every j, where x is a dense row at least as long as y. Each y[j]
+// takes exactly the one update MulAdd would give it, so a kernel may
+// mix the two forms without changing a bit.
+func (r *Semiring) MulAddRow(y []float64, a float64, x []float64) {
 	if r.IsStandard() {
 		AXPY(y, x, a)
 		return
 	}
-	_ = x[len(y)-1]
-	for i := range y {
-		y[i] = r.Add(y[i], r.Mul(a, x[i]))
+	if a == 0 || a == r.Zero {
+		return
+	}
+	for j := range y {
+		y[j] = r.mulAdd(y[j], a, x[j])
 	}
 }
 
-// FoldAdd folds xs into acc under ⊕, left to right. Seed acc with Zero
-// for a whole-slice reduction: the standard ring reduces to SumSlice,
-// minplus to MinSlice seeded +Inf, maxplus to MaxSlice seeded -Inf —
-// the identities the fold kernels were already written to respect.
-func (r *Semiring) FoldAdd(acc float64, xs []float64) float64 {
-	switch r.Name {
-	case "standard":
-		return SumSlice(acc, xs)
-	case "minplus":
-		return MinSlice(acc, xs)
-	case "maxplus":
-		return MaxSlice(acc, xs)
+// mulAdd is MulAdd for the rings other than the standard one.
+func (r *Semiring) mulAdd(y, a, b float64) float64 {
+	if a == 0 || a == r.Zero || b == 0 || b == r.Zero {
+		return y
 	}
-	for _, v := range xs {
-		acc = r.Add(acc, v)
+	m := r.Mul(a, b)
+	switch {
+	case m == r.Zero:
+		return y
+	case y == 0:
+		return m
 	}
-	return acc
-}
-
-// FillZero sets every element of dst to the ring's Zero — the seed a
-// fresh ⊕-accumulator needs (fresh dense tiles arrive zeroed, which is
-// only correct for rings whose Zero is float64 0).
-func (r *Semiring) FillZero(dst []float64) {
-	for i := range dst {
-		dst[i] = r.Zero
-	}
+	return r.Add(y, m)
 }

@@ -106,35 +106,41 @@ func TestRingLookup(t *testing.T) {
 	}
 }
 
-// TestRingKernels checks the ring slice kernels against elementwise
-// application of the ring's scalar operators, and that the standard
-// ring's fused fast paths stay bit-identical to the generic loops.
+// TestRingKernels checks the ring's multiply-add: the standard ring is
+// plain IEEE y + a*b with nothing skipped (0·Inf is NaN), every other
+// ring applies the storage-domain update (0 is absent), and the row
+// form gives each element exactly the scalar form's update.
 func TestRingKernels(t *testing.T) {
-	xs := []float64{3, 0, -2, 7.5, math.Inf(1), 1, -0.25, 4}
-	ys := []float64{1, 5, -1, 0, 2, math.Inf(1), 8, -3}
+	xs := []float64{3, 0, -2, 7.5, math.Inf(1), 1, -0.25, 4, math.Inf(-1), 0}
+	ys := []float64{1, 5, -1, 0, 2, math.Inf(1), 8, -3, 0, 0}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
 	for _, name := range RingNames() {
 		r, _ := Ring(name)
-		dst := make([]float64, len(xs))
-		r.AddSlices(dst, xs, ys)
-		for i := range dst {
-			if want := r.Add(xs[i], ys[i]); dst[i] != want && !(math.IsNaN(dst[i]) && math.IsNaN(want)) {
-				t.Errorf("%s AddSlices[%d] = %g, want %g", name, i, dst[i], want)
+		for _, a := range []float64{2, 0, math.Inf(1), math.Inf(-1)} {
+			y := append([]float64(nil), ys...)
+			r.MulAddRow(y, a, xs)
+			for i := range y {
+				want := ys[i] + a*xs[i]
+				if !r.IsStandard() {
+					m := r.Mul(a, xs[i])
+					switch {
+					case a == 0 || a == r.Zero || xs[i] == 0 || xs[i] == r.Zero || m == r.Zero:
+						want = ys[i]
+					case ys[i] == 0:
+						want = m
+					default:
+						want = r.Add(ys[i], m)
+					}
+				}
+				if !same(y[i], want) {
+					t.Errorf("%s MulAddRow(a=%g)[%d] = %g, want %g", name, a, i, y[i], want)
+				}
+				if got := r.MulAdd(ys[i], a, xs[i]); !same(got, y[i]) {
+					t.Errorf("%s MulAdd(%g, %g, %g) = %g, row form gave %g", name, ys[i], a, xs[i], got, y[i])
+				}
 			}
-		}
-		y := append([]float64(nil), ys...)
-		r.AXPY(y, xs, 2)
-		for i := range y {
-			if want := r.Add(ys[i], r.Mul(2, xs[i])); y[i] != want && !(math.IsNaN(y[i]) && math.IsNaN(want)) {
-				t.Errorf("%s AXPY[%d] = %g, want %g", name, i, y[i], want)
-			}
-		}
-		acc := r.FoldAdd(r.Zero, xs)
-		want := r.Zero
-		for _, v := range xs {
-			want = r.Add(want, v)
-		}
-		if acc != want {
-			t.Errorf("%s FoldAdd = %g, want %g", name, acc, want)
 		}
 	}
 }
@@ -159,11 +165,6 @@ func TestFoldIdentitySeeds(t *testing.T) {
 	if got := MaxSlice(math.Inf(-1), []float64{math.NaN()}); !math.IsInf(got, -1) {
 		t.Errorf("MaxSlice over {NaN} = %g, want the -Inf seed", got)
 	}
-	// The ring folds inherit those semantics through FoldAdd.
-	mp, _ := Ring("minplus")
-	if got := mp.FoldAdd(mp.Zero, []float64{math.Inf(1), 2}); got != 2 {
-		t.Errorf("minplus FoldAdd over {+Inf, 2} = %g, want 2", got)
-	}
 }
 
 // TestZeroPredicateEdges pins the zero-classification predicates on the
@@ -183,9 +184,9 @@ func TestZeroPredicateEdges(t *testing.T) {
 		{"*", math.Inf(-1), true, false},
 		{"+", 0, false, true},
 		{"+", math.NaN(), false, false},
-		{"-", 0, true, true}, // 0 - x at x = 0
-		{"/", math.Inf(1), false, true},  // 0 / Inf = 0
-		{"/", 0, false, false},           // 0 / 0 = NaN
+		{"-", 0, true, true},            // 0 - x at x = 0
+		{"/", math.Inf(1), false, true}, // 0 / Inf = 0
+		{"/", 0, false, false},          // 0 / 0 = NaN
 		{"/", math.NaN(), false, false},
 		{"&", math.NaN(), true, true}, // NaN & 0: != 0 short-circuits to 0
 		{"^", math.NaN(), true, false},

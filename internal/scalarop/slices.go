@@ -40,11 +40,12 @@ func ScaleSlice(dst, src []float64, s float64) {
 }
 
 // AXPY accumulates y[i] += a * x[i] — the building block the LU update
-// loops share with any future semi-ring kernels.
+// loops share with the standard ring's Semiring.MulAddRow. x must be at
+// least as long as y.
 func AXPY(y, x []float64, a float64) {
-	_ = x[len(y)-1]
-	for i := range y {
-		y[i] += a * x[i]
+	x = x[:len(y)]
+	for i, v := range x {
+		y[i] += a * v
 	}
 }
 
