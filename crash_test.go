@@ -354,9 +354,9 @@ func verifyRecovery(t *testing.T, dir string, journals []journal) {
 	}
 }
 
-// TestWALSyncOffMatchesLegacy: with the WAL off the engine is the
-// pre-WAL engine — no log file appears, no WAL stats are reported, and
-// durability is exactly checkpoint-granular.
+// TestWALSyncOffMatchesLegacy: with the WAL off no log file appears, no
+// WAL stats are reported, durability is exactly checkpoint-granular, and
+// the checkpoint is the same manifest every WAL mode writes.
 func TestWALSyncOffMatchesLegacy(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Config{BlockElems: 64, MemElems: 1 << 15, WALSync: WALSyncOff})
@@ -386,7 +386,7 @@ func TestWALSyncOffMatchesLegacy(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The checkpoint file is the legacy format.
+	// The checkpoint is the one catalog format.
 	f, err := os.Open(filepath.Join(dir, "catalog.riot"))
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +396,7 @@ func TestWALSyncOffMatchesLegacy(t *testing.T) {
 	if _, err := f.Read(magic); err != nil {
 		t.Fatal(err)
 	}
-	if string(magic) != "RIOTCAT1" {
-		t.Fatalf("WALSyncOff checkpoint magic %q, want legacy RIOTCAT1", magic)
+	if string(magic) != "RIOTCAT2" {
+		t.Fatalf("WALSyncOff checkpoint magic %q, want RIOTCAT2", magic)
 	}
 }

@@ -82,7 +82,6 @@ func Open(dir string, cfg Config) (*DB, error) {
 	}
 	dev := disk.NewDevice(cfg.BlockElems)
 	pool := buffer.NewShardedWithMemory(dev, cfg.MemElems, cfg.Workers)
-	pool.SetSharedFlush(true)
 	if cfg.Readahead {
 		pool.SetReadahead(buffer.ReadaheadConfig{Enabled: true})
 	}

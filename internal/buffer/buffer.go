@@ -251,16 +251,7 @@ type core struct {
 	// I/O scheduler state (see the package comment). raEnabled gates
 	// every scheduler code path so the disabled pool is byte-for-byte
 	// the seed pool.
-	raEnabled atomic.Bool
-	// sharedFlush marks a pool shared by concurrent sessions: FlushAll
-	// then skips frames that are pinned at flush time. An unpinned frame
-	// is never mutated by callers (the pool contract), so flushing only
-	// unpinned frames is race-free no matter how many sessions are mid-
-	// operation; the skipped frames stay dirty and are written back on
-	// eviction, by a later flush, or captured by a checkpoint Pin. Off
-	// (the default) FlushAll writes every dirty frame, which is the
-	// seed's deterministic single-session behaviour.
-	sharedFlush    atomic.Bool
+	raEnabled      atomic.Bool
 	raCfg          ReadaheadConfig
 	ra             raState
 	drain          drainGroup
@@ -1082,17 +1073,11 @@ func (p *core) unpin(f *Frame) {
 	}
 }
 
-// SetSharedFlush marks the pool as shared by concurrent sessions: see
-// the sharedFlush field. riot.Open sets it on the server's shared pool;
-// standalone engines leave it off and keep the seed's exact flush
-// counters.
-func (p *core) SetSharedFlush(on bool) { p.sharedFlush.Store(on) }
-
-// FlushAll writes back dirty frames without evicting. In the default
-// (exclusive) mode it writes every dirty frame, pinned or not, and must
-// not run concurrently with writers still mutating pinned frames; in
-// shared mode (SetSharedFlush) pinned frames are skipped, which makes
-// FlushAll safe to call while other sessions are mid-operation. With
+// FlushAll writes back dirty frames without evicting. Frames pinned or
+// still loading at flush time are skipped: an unpinned frame is never
+// mutated by callers (the pool contract), so FlushAll is race-free no
+// matter how many sessions are mid-operation, and a skipped frame stays
+// dirty until eviction, a later flush, or a checkpoint captures it. With
 // the scheduler enabled each shard's dirty frames go out as one
 // vectored write sorted by BlockID, so contiguous dirty runs are
 // charged sequentially instead of in map-iteration (random) order.
@@ -1100,11 +1085,10 @@ func (p *core) FlushAll() error {
 	if p.raEnabled.Load() {
 		return p.flushAllSorted()
 	}
-	shared := p.sharedFlush.Load()
 	for _, s := range p.shards {
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if shared && (f.pins > 0 || f.loading) {
+			if f.pins > 0 || f.loading {
 				continue
 			}
 			if f.dirty.Load() {
@@ -1141,11 +1125,10 @@ func (p *core) flushAllSorted() error {
 		s.mu.Unlock()
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].f.id < cands[j].f.id })
-	shared := p.sharedFlush.Load()
 	for _, c := range cands {
 		c.s.mu.Lock()
 		f := c.f
-		if shared && (f.pins > 0 || f.loading) {
+		if f.pins > 0 || f.loading {
 			c.s.mu.Unlock()
 			continue
 		}
@@ -1194,7 +1177,7 @@ func (p *core) Invalidate(id disk.BlockID) {
 }
 
 // DropAll evicts every unpinned frame, flushing dirty ones. It returns an
-// error if any frame is still pinned. Like FlushAll it requires a
+// error if any frame is still pinned. Unlike FlushAll it requires a
 // quiescent pool: the pinned check and the per-shard clearing are not
 // atomic against concurrent Pins, so callers must not race it with
 // other pool users (experiments call it between runs). In-flight

@@ -6,12 +6,12 @@
 // A Catalog binds a host-filesystem directory to the simulated device
 // behind a buffer pool. Named arrays published with PutVector/PutMatrix
 // are copied into catalog-owned extents on the device (so they survive
-// the publishing session), and Checkpoint serializes every entry —
-// metadata page plus raw tile payloads — into the directory with an
-// atomic write-then-rename (followed by a directory fsync, so the
-// rename itself survives a crash). Opening the same directory later
-// replays the file into a fresh device, so a new process sees the same
-// named arrays with identical values.
+// the publishing session), and Checkpoint persists every entry —
+// metadata page plus raw tile payloads — into the directory with
+// atomic write-then-rename steps (each followed by a directory fsync,
+// so the rename itself survives a crash). Opening the same directory
+// later replays the files into a fresh device, so a new process sees
+// the same named arrays with identical values.
 //
 // # Write-ahead logging
 //
@@ -26,10 +26,12 @@
 // tails are truncated by checksum, and every acknowledged commit
 // survives a crash at any point, kill -9 included.
 //
-// With a WAL the checkpoint becomes incremental: only entries dirty
+// The checkpoint is incremental in every mode: only entries dirty
 // since the last checkpoint serialize their payloads (into an immutable
 // segment file); clean entries reference the segment that already holds
-// them. A successful checkpoint rotates the WAL down to an empty log.
+// them. A successful checkpoint rotates the WAL down to an empty log;
+// without a WAL it removes any log an earlier WAL-mode process left
+// behind, whose records Open replayed and the manifest now covers.
 //
 // Publishing is last-writer-wins: a Put under the catalog lock replaces
 // the table entry in one step, and readers that already hold the old
@@ -37,39 +39,39 @@
 // freed, until Close). All methods are safe for concurrent use by many
 // sessions.
 //
-// # On-disk formats
+// # On-disk format
 //
-// Checkpoint-only catalogs (WALOff) write one file, catalog.riot,
-// little-endian, exactly as every version of this package has:
+// catalog.riot is a manifest, little-endian:
 //
-//	[8]byte  magic "RIOTCAT1"
+//	[8]byte  magic "RIOTCAT2"
 //	uint32   block size in float64 elements (must match the device)
+//	uint64   the WAL LSN the checkpoint covers
+//	uint64   segment generation counter
 //	uint32   entry count
 //	entries:
 //	  uint32 name length, name bytes
 //	  uint8  kind (0 vector, 1 matrix, 2 sparse matrix, 3 sparse vector)
-//	  uint8  tile shape, uint8 linearization, uint8 reserved
+//	  uint8  tile shape, uint8 linearization, uint8 flag (1: a segment
+//	    reference follows; a WAL publish record carries the same header
+//	    with flag 0 and the payload inline)
 //	  int64  rows, int64 cols
 //	  uint32 block count
 //	  sparse kinds only: uint32 directory length, then that many
 //	    uint32 per-tile (per-chunk) nonzero counts — the density
 //	    statistics the planner reads, persisted with the data
-//	  block payloads: count × blockElems × 8 bytes (float64 bits);
-//	    sparse kinds store only their non-empty tiles' payloads, in
-//	    row-major tile order
+//	  uint64 publish LSN, uint64 segment generation, uint64 byte offset
 //
-// WAL-backed catalogs write catalog.riot as a manifest ("RIOTCAT2"):
-// the same per-entry metadata plus the entry's publish LSN and a
-// (segment generation, byte offset) reference into an immutable payload
-// segment file catalog.seg-<gen>.riot ("RIOTSEG1" header, then raw
-// block payloads). The manifest header carries the WAL LSN the
-// checkpoint covers and the segment generation counter. wal.riot is the
-// log itself (see internal/wal for its format).
+// The referenced segment file catalog.seg-<gen>.riot holds a "RIOTSEG1"
+// header, the block size, then raw block payloads: block count ×
+// blockElems × 8 bytes (float64 bits) per entry; sparse kinds store
+// only their non-empty tiles' payloads, in row-major tile order.
+// wal.riot is the log itself (see internal/wal for its format).
 //
-// Both formats are versioned by magic; a file whose magic or block size
-// does not match is rejected rather than guessed at. Sparse entries
-// restore with their directories intact, so an all-zero tile still
-// costs no block after a restart.
+// A file whose magic or block size does not match is rejected rather
+// than guessed at, and every declared size is checked against the
+// geometry and the bytes present before anything is allocated. Sparse
+// entries restore with their directories intact, so an all-zero tile
+// still costs no block after a restart.
 package catalog
 
 import (
@@ -94,17 +96,14 @@ import (
 	"riot/internal/wal"
 )
 
-// Magic identifies a checkpoint-only catalog file (format version 1).
-const Magic = "RIOTCAT1"
-
-// MagicV2 identifies a WAL-backed catalog manifest whose entry payloads
-// live in segment files.
-const MagicV2 = "RIOTCAT2"
+// Magic identifies a catalog manifest whose entry payloads live in
+// segment files.
+const Magic = "RIOTCAT2"
 
 // SegMagic identifies a payload segment file.
 const SegMagic = "RIOTSEG1"
 
-// FileName is the catalog (or manifest) file inside the directory.
+// FileName is the catalog manifest inside the directory.
 const FileName = "catalog.riot"
 
 // segPrefix and segSuffix bracket the generation number in a segment
@@ -136,9 +135,8 @@ type WALMode int
 
 // WAL modes.
 const (
-	// WALOff keeps the catalog checkpoint-only: no log file, the
-	// legacy RIOTCAT1 checkpoint format, behavior identical to the
-	// pre-WAL engine.
+	// WALOff keeps the catalog checkpoint-only: no log file, and
+	// publishes since the last checkpoint die with the process.
 	WALOff WALMode = iota
 	// WALAlways acknowledges each publish after an fsync'd group
 	// flush: acknowledged commits survive kill -9.
@@ -150,8 +148,7 @@ const (
 
 // Options configure OpenWith beyond the directory and pool.
 type Options struct {
-	// WAL selects the durability mode (default WALOff: checkpoint-only,
-	// the seed behavior).
+	// WAL selects the durability mode (default WALOff: checkpoint-only).
 	WAL WALMode
 	// FlushInterval is WALInterval's fsync period (default 50ms).
 	FlushInterval time.Duration
@@ -170,9 +167,7 @@ type Entry struct {
 	Kind    Kind
 	Version int64
 	// LSN is the WAL sequence number that committed this entry (0 when
-	// the catalog runs without a WAL, or for entries restored from a
-	// pre-WAL checkpoint). Replay uses it for idempotency: records at
-	// or below a checkpoint's durable LSN are never re-applied.
+	// it was published without a WAL).
 	LSN  uint64
 	Vec  *array.Vector
 	Mat  *array.Matrix
@@ -229,10 +224,10 @@ type Catalog struct {
 	gen      uint64 // checkpoint segment generation counter
 
 	log *wal.Log // nil when WALOff
-	// staleWAL marks a WAL (and segments) left by an earlier WAL-mode
-	// process that this WALOff catalog replayed on open; the next full
-	// checkpoint captures their contents and removes them.
-	staleWAL bool
+	// lsn is the newest WAL LSN the catalog has applied: the loaded
+	// manifest's, or a replayed record's. A checkpoint without a log
+	// covers it, so LSNs stay monotonic across mode switches.
+	lsn uint64
 }
 
 // SetOnRetire hands superseded and deleted entries to fn instead of the
@@ -261,27 +256,26 @@ func (e *Entry) FreeStorage() {
 }
 
 // Open binds dir to the pool's device with the default options
-// (checkpoint-only, no WAL) — the seed engine's behavior, byte for
-// byte. See OpenWith.
+// (checkpoint-only, no WAL). See OpenWith.
 func Open(dir string, pool *buffer.Pool) (*Catalog, error) {
 	return OpenWith(dir, pool, Options{})
 }
 
-// OpenWith binds dir to the pool's device, loading the catalog file if
-// one exists (restoring every named array into fresh extents), creating
-// the directory otherwise, and — when a WAL mode is selected — opening
-// the log and replaying every record past the checkpoint's durable LSN,
-// so acknowledged publishes from a crashed process are visible
-// immediately. pool should be the root (unmetered) view of the shared
-// pool: catalog storage belongs to the system, not to any session's
-// quota.
+// OpenWith binds dir to the pool's device, loading the catalog manifest
+// if one exists (restoring every named array into fresh extents),
+// creating the directory otherwise, and replaying every record of the
+// write-ahead log past the manifest's durable LSN, so acknowledged
+// publishes from a crashed process are visible immediately. Without a
+// WAL mode a log left by an earlier WAL-mode process is still replayed,
+// then closed; the next checkpoint removes it. pool should be the root
+// (unmetered) view of the shared pool: catalog storage belongs to the
+// system, not to any session's quota.
 func OpenWith(dir string, pool *buffer.Pool, opts Options) (*Catalog, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
 	c := &Catalog{dir: dir, pool: pool.Root(), entries: make(map[string]*Entry)}
 	path := filepath.Join(dir, FileName)
-	checkLSN := uint64(0)
 	f, err := os.Open(path)
 	switch {
 	case os.IsNotExist(err):
@@ -289,40 +283,28 @@ func OpenWith(dir string, pool *buffer.Pool, opts Options) (*Catalog, error) {
 	case err != nil:
 		return nil, fmt.Errorf("catalog: %w", err)
 	default:
-		checkLSN, err = c.load(bufio.NewReaderSize(f, 1<<20))
+		err = c.load(bufio.NewReaderSize(f, 1<<20))
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("catalog: loading %s: %w", path, err)
 		}
 	}
-	if err := c.openWAL(opts, checkLSN); err != nil {
+	if err := c.openWAL(opts); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// openWAL opens (or, for WALOff over a directory that has one, drains)
-// the write-ahead log and replays records past checkLSN.
-func (c *Catalog) openWAL(opts Options, checkLSN uint64) error {
+// openWAL opens the write-ahead log and replays records past the
+// manifest's LSN. Under WALOff it only drains a log an earlier WAL-mode
+// process left behind: replayed, then closed, and removed by the next
+// checkpoint.
+func (c *Catalog) openWAL(opts Options) error {
 	walPath := filepath.Join(c.dir, wal.FileName)
 	if opts.WAL == WALOff {
-		// A WAL left by an earlier WAL-mode process still holds
-		// acknowledged commits; replay it so they are not silently
-		// dropped, then leave the file in place until a successful full
-		// checkpoint has captured its contents.
 		if _, err := os.Stat(walPath); os.IsNotExist(err) {
 			return nil
 		}
-		l, recs, err := wal.Open(walPath, wal.Options{})
-		if err != nil {
-			return fmt.Errorf("catalog: %w", err)
-		}
-		if err := c.replay(recs, checkLSN); err != nil {
-			l.Close()
-			return err
-		}
-		c.staleWAL = true
-		return l.Close()
 	}
 	mode := wal.ModeAlways
 	if opts.WAL == WALInterval {
@@ -336,9 +318,23 @@ func (c *Catalog) openWAL(opts Options, checkLSN uint64) error {
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
+	checkLSN := c.lsn
 	if err := c.replay(recs, checkLSN); err != nil {
 		l.Close()
 		return err
+	}
+	if opts.WAL == WALOff {
+		return l.Close()
+	}
+	// A checkpoint taken without a log (or one whose log lost an
+	// unsynced tail) can cover LSNs this log never held. Continue past
+	// them before any append, or a new record would reuse an LSN the
+	// manifest covers and the next replay would skip it.
+	if l.LastLSN() < checkLSN {
+		if err := l.Rotate(checkLSN); err != nil {
+			l.Close()
+			return fmt.Errorf("catalog: %w", err)
+		}
 	}
 	c.log = l
 	return nil
@@ -378,6 +374,7 @@ func (c *Catalog) replay(recs []wal.Record, checkLSN uint64) error {
 		default:
 			return fmt.Errorf("catalog: WAL record %d has unknown type %d", rec.LSN, rec.Type)
 		}
+		c.lsn = rec.LSN
 	}
 	return nil
 }
@@ -605,72 +602,25 @@ func (c *Catalog) copyBlocks(srcBase, dstBase disk.BlockID, n int) error {
 }
 
 // Checkpoint persists the catalog into the directory atomically (write
-// to a temporary file, rename over the old catalog, fsync the directory
-// so the rename survives a crash). Without a WAL it serializes every
-// entry's payload into one RIOTCAT1 file, exactly as the pre-WAL engine
-// did. With a WAL the checkpoint is incremental: only entries published
-// since the last checkpoint write their payloads (into a fresh
-// immutable segment file); clean entries are referenced where they
-// already are, the manifest records the WAL LSN it covers, and the WAL
-// is rotated down to empty on success. Payload bytes are captured with
-// the pool's uncharged Export — persistence writes to the host
+// to a temporary file, rename over the old one, fsync the directory so
+// the rename survives a crash). It is incremental: only entries
+// published since the last checkpoint write their payloads (into a
+// fresh immutable segment file); clean entries are referenced where
+// they already are, and the manifest records the WAL LSN it covers.
+// On success a WAL is rotated down to empty; without one, any log an
+// earlier WAL-mode process left behind is removed, since Open replayed
+// it and the manifest covers its records. Payload bytes are captured
+// with the pool's uncharged Export — persistence writes to the host
 // filesystem, a different device from the simulated disk, and must not
 // perturb the I/O counters the paper's experiments measure. Safe to
 // call while sessions are running.
 func (c *Catalog) Checkpoint() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.log == nil {
-		return c.checkpointFull()
+	durable := c.lsn
+	if c.log != nil {
+		durable = c.log.LastLSN()
 	}
-	return c.checkpointIncremental()
-}
-
-// checkpointFull writes the legacy single-file RIOTCAT1 checkpoint.
-// After it lands, any WAL and segment files left by an earlier WAL-mode
-// process are fully captured and removed. Callers hold c.mu.
-func (c *Catalog) checkpointFull() error {
-	tmp, err := os.CreateTemp(c.dir, FileName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	if err := c.save(w); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(c.dir, FileName)); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := wal.SyncDir(c.dir); err != nil {
-		return err
-	}
-	if c.staleWAL {
-		// The checkpoint now holds everything the drained WAL did.
-		os.Remove(filepath.Join(c.dir, wal.FileName))
-		c.removeSegmentsExcept(nil)
-		c.staleWAL = false
-		return wal.SyncDir(c.dir)
-	}
-	return nil
-}
-
-// checkpointIncremental writes dirty payloads to a new segment file,
-// then the RIOTCAT2 manifest, then rotates the WAL. Callers hold c.mu.
-func (c *Catalog) checkpointIncremental() error {
-	durable := c.log.LastLSN()
 	gen := c.gen + 1
 	var dirty []*Entry
 	for _, e := range c.entries {
@@ -695,59 +645,46 @@ func (c *Catalog) checkpointIncremental() error {
 		referenced[e.segGen] = true
 	}
 	c.removeSegmentsExcept(referenced)
-	return c.log.Rotate(durable)
+	if c.log != nil {
+		return c.log.Rotate(durable)
+	}
+	if err := os.Remove(filepath.Join(c.dir, wal.FileName)); err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("catalog: %w", err)
+	}
+	return wal.SyncDir(c.dir)
 }
 
 // writeSegment persists the dirty entries' payloads into the gen
-// segment file (tmp, fsync, rename, dir fsync) and stamps their
-// segment references. Callers hold c.mu.
+// segment file and stamps their segment references. Callers hold c.mu.
 func (c *Catalog) writeSegment(gen uint64, dirty []*Entry) error {
-	tmp, err := os.CreateTemp(c.dir, segFileName(gen)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	if _, err := w.Write([]byte(SegMagic)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
-	}
 	blockElems := c.pool.Device().BlockElems()
-	if err := writeU32(w, uint32(blockElems)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
-	}
-	off := int64(len(SegMagic) + 4)
 	offsets := make([]int64, len(dirty))
-	buf := make([]byte, blockElems*8)
-	for i, e := range dirty {
-		offsets[i] = off
-		we, err := describeEntry(e)
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("catalog: entry %q: %w", e.Name, err)
+	err := c.writeFileAtomic(segFileName(gen), func(w io.Writer) error {
+		if _, err := w.Write([]byte(SegMagic)); err != nil {
+			return err
 		}
-		if err := c.writePayload(w, we.ids, buf); err != nil {
-			tmp.Close()
-			return fmt.Errorf("catalog: entry %q: %w", e.Name, err)
+		if err := writeU32(w, uint32(blockElems)); err != nil {
+			return err
 		}
-		off += int64(len(we.ids)) * int64(blockElems) * 8
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(c.dir, segFileName(gen))); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := wal.SyncDir(c.dir); err != nil {
+		off := int64(len(SegMagic) + 4)
+		buf := make([]byte, blockElems*8)
+		for i, e := range dirty {
+			offsets[i] = off
+			we, err := describeEntry(e)
+			if err != nil {
+				return fmt.Errorf("entry %q: %w", e.Name, err)
+			}
+			if err := c.writePayload(w, we.ids, buf); err != nil {
+				return fmt.Errorf("entry %q: %w", e.Name, err)
+			}
+			off += int64(len(we.ids)) * int64(blockElems) * 8
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	// Only after the segment is durably in place do the entries point
@@ -759,18 +696,11 @@ func (c *Catalog) writeSegment(gen uint64, dirty []*Entry) error {
 	return nil
 }
 
-// writeManifest writes the RIOTCAT2 manifest referencing every entry's
-// segment (tmp, fsync, rename, dir fsync). Callers hold c.mu, and every
-// entry has a segment reference.
+// writeManifest writes the manifest referencing every entry's segment.
+// Callers hold c.mu, and every entry has a segment reference.
 func (c *Catalog) writeManifest(durable, gen uint64) error {
-	tmp, err := os.CreateTemp(c.dir, FileName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	werr := func() error {
-		if _, err := w.Write([]byte(MagicV2)); err != nil {
+	return c.writeFileAtomic(FileName, func(w io.Writer) error {
+		if _, err := w.Write([]byte(Magic)); err != nil {
 			return err
 		}
 		if err := writeU32(w, uint32(c.pool.Device().BlockElems())); err != nil {
@@ -809,28 +739,43 @@ func (c *Catalog) writeManifest(durable, gen uint64) error {
 				return err
 			}
 		}
-		return w.Flush()
-	}()
-	if werr != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", werr)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+		return nil
+	})
+}
+
+// writeFileAtomic replaces the directory file name with what fill
+// writes: a temporary file, fsync, rename over name, directory fsync
+// (without which the rename itself can vanish in a crash). A crash
+// leaves either the old file or the complete new one.
+func (c *Catalog) writeFileAtomic(name string, fill func(w io.Writer) error) error {
+	tmp, err := os.CreateTemp(c.dir, name+".tmp*")
+	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("catalog: %w", err)
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	w := bufio.NewWriterSize(tmp, 1<<20)
+	err = fill(w)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(c.dir, FileName)); err != nil {
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(c.dir, name))
+	}
+	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
 	return wal.SyncDir(c.dir)
 }
 
 // removeSegmentsExcept deletes segment files whose generation is not in
-// keep (nil keeps nothing). Removal failures are ignored: an orphan
-// segment wastes disk, never correctness.
+// keep. Removal failures are ignored: an orphan segment wastes disk,
+// never correctness.
 func (c *Catalog) removeSegmentsExcept(keep map[uint64]bool) {
 	names, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -920,9 +865,9 @@ func describeEntry(e *Entry) (wireEntry, error) {
 	return we, nil
 }
 
-// writeMeta writes one entry's metadata in the shared wire layout (the
-// RIOTCAT1 entry header). flag lands in the byte v1 reserved: 0 means
-// the payload follows inline, 1 means a segment reference follows.
+// writeMeta writes one entry's metadata in the wire layout the manifest
+// and WAL publish records share. flag 0 means the payload follows
+// inline, 1 means a segment reference follows.
 func writeMeta(w io.Writer, we wireEntry, flag byte) error {
 	if err := writeU32(w, uint32(len(we.name))); err != nil {
 		return err
@@ -974,8 +919,8 @@ func (c *Catalog) writePayload(w io.Writer, ids []disk.BlockID, buf []byte) erro
 	return nil
 }
 
-// encodePublish serializes an entry — metadata plus inline payload, the
-// RIOTCAT1 entry layout — into a WAL record body. Callers hold c.mu.
+// encodePublish serializes an entry — metadata plus inline payload —
+// into a WAL record body. Callers hold c.mu.
 func (c *Catalog) encodePublish(e *Entry) ([]byte, error) {
 	we, err := describeEntry(e)
 	if err != nil {
@@ -1002,7 +947,7 @@ func (c *Catalog) decodePublish(payload []byte) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, ids, err := c.allocEntry(m)
+	e, ids, err := c.allocEntry(m, int64(r.Len()))
 	if err != nil {
 		return nil, err
 	}
@@ -1013,55 +958,45 @@ func (c *Catalog) decodePublish(payload []byte) (*Entry, error) {
 	return e, nil
 }
 
-// save writes the legacy RIOTCAT1 format: header, then every entry's
-// metadata and inline payload, in name order (deterministic layout).
-func (c *Catalog) save(w io.Writer) error {
-	blockElems := c.pool.Device().BlockElems()
-	if _, err := w.Write([]byte(Magic)); err != nil {
-		return err
-	}
-	if err := writeU32(w, uint32(blockElems)); err != nil {
-		return err
-	}
-	if err := writeU32(w, uint32(len(c.entries))); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(c.entries))
-	for n := range c.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	buf := make([]byte, blockElems*8)
-	for _, name := range names {
-		we, err := describeEntry(c.entries[name])
-		if err != nil {
-			return fmt.Errorf("entry %q: %w", name, err)
-		}
-		if err := writeMeta(w, we, 0); err != nil {
-			return fmt.Errorf("entry %q: %w", name, err)
-		}
-		if err := c.writePayload(w, we.ids, buf); err != nil {
-			return fmt.Errorf("entry %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// load dispatches on the file magic and restores every entry. It
-// returns the WAL LSN the file covers (0 for v1 files, which predate
-// the WAL).
-func (c *Catalog) load(r io.Reader) (uint64, error) {
+// load restores a manifest: per-entry metadata with segment references,
+// payloads read from the referenced segment files. The catalog's LSN
+// becomes the one the manifest covers.
+func (c *Catalog) load(r io.Reader) error {
 	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(r, magic); err != nil {
-		return 0, fmt.Errorf("reading magic: %w", err)
+		return fmt.Errorf("reading magic: %w", err)
 	}
-	switch string(magic) {
-	case Magic:
-		return 0, c.loadV1(r)
-	case MagicV2:
-		return c.loadV2(r)
+	if string(magic) != Magic {
+		return fmt.Errorf("bad magic %q (not a catalog file, or an unsupported version)", magic)
 	}
-	return 0, fmt.Errorf("bad magic %q (not a catalog file, or an unsupported version)", magic)
+	if err := c.checkBlockElems(r); err != nil {
+		return err
+	}
+	durable, err := readU64(r)
+	if err != nil {
+		return err
+	}
+	gen, err := readU64(r)
+	if err != nil {
+		return err
+	}
+	count, err := readU32(r)
+	if err != nil {
+		return err
+	}
+	segs := make(map[uint64]*os.File)
+	defer func() {
+		for _, f := range segs {
+			f.Close()
+		}
+	}()
+	for i := uint32(0); i < count; i++ {
+		if err := c.loadEntry(r, segs); err != nil {
+			return fmt.Errorf("entry %d: %w", i, err)
+		}
+	}
+	c.lsn, c.gen = durable, gen
+	return nil
 }
 
 // checkBlockElems validates a file's block size against the device.
@@ -1077,77 +1012,8 @@ func (c *Catalog) checkBlockElems(r io.Reader) error {
 	return nil
 }
 
-// loadV1 restores the legacy inline-payload format.
-func (c *Catalog) loadV1(r io.Reader) error {
-	if err := c.checkBlockElems(r); err != nil {
-		return err
-	}
-	count, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < count; i++ {
-		if err := c.loadEntryV1(r); err != nil {
-			return fmt.Errorf("entry %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// loadEntryV1 restores one inline entry.
-func (c *Catalog) loadEntryV1(r io.Reader) error {
-	m, err := c.readMeta(r)
-	if err != nil {
-		return err
-	}
-	e, ids, err := c.allocEntry(m)
-	if err != nil {
-		return err
-	}
-	if err := c.importPayload(r, e.Name, ids); err != nil {
-		e.FreeStorage()
-		return err
-	}
-	c.entries[e.Name] = e
-	return nil
-}
-
-// loadV2 restores the manifest format: per-entry metadata with segment
-// references, payloads read from the referenced segment files. It
-// returns the manifest's durable LSN.
-func (c *Catalog) loadV2(r io.Reader) (uint64, error) {
-	if err := c.checkBlockElems(r); err != nil {
-		return 0, err
-	}
-	durable, err := readU64(r)
-	if err != nil {
-		return 0, err
-	}
-	gen, err := readU64(r)
-	if err != nil {
-		return 0, err
-	}
-	count, err := readU32(r)
-	if err != nil {
-		return 0, err
-	}
-	segs := make(map[uint64]*os.File)
-	defer func() {
-		for _, f := range segs {
-			f.Close()
-		}
-	}()
-	for i := uint32(0); i < count; i++ {
-		if err := c.loadEntryV2(r, segs); err != nil {
-			return 0, fmt.Errorf("entry %d: %w", i, err)
-		}
-	}
-	c.gen = gen
-	return durable, nil
-}
-
-// loadEntryV2 restores one manifest entry from its segment.
-func (c *Catalog) loadEntryV2(r io.Reader, segs map[uint64]*os.File) error {
+// loadEntry restores one manifest entry from its segment.
+func (c *Catalog) loadEntry(r io.Reader, segs map[uint64]*os.File) error {
 	m, err := c.readMeta(r)
 	if err != nil {
 		return err
@@ -1175,7 +1041,11 @@ func (c *Catalog) loadEntryV2(r io.Reader, segs map[uint64]*os.File) error {
 		}
 		segs[segGen] = sf
 	}
-	e, ids, err := c.allocEntry(m)
+	fi, err := sf.Stat()
+	if err != nil {
+		return fmt.Errorf("entry %q: segment %d: %w", m.name, segGen, err)
+	}
+	e, ids, err := c.allocEntry(m, fi.Size()-int64(min(segOff, uint64(fi.Size()))))
 	if err != nil {
 		return err
 	}
@@ -1237,7 +1107,8 @@ type entryMeta struct {
 
 // readMeta parses and sanity-checks one entry header in the shared wire
 // layout. Every check runs before any geometry-sized allocation, so a
-// corrupt header cannot drive one.
+// corrupt header cannot drive one: on success nblocks is exactly the
+// block count allocEntry will create for the entry.
 func (c *Catalog) readMeta(r io.Reader) (entryMeta, error) {
 	var m entryMeta
 	nameLen, err := readU32(r)
@@ -1269,52 +1140,58 @@ func (c *Catalog) readMeta(r io.Reader) (entryMeta, error) {
 	if m.nblocks, err = readU32(r); err != nil {
 		return m, err
 	}
-	blockElems := int64(c.pool.Device().BlockElems())
 	if m.rows < 0 || m.cols < 0 || m.nblocks > maxEntryBlocks {
 		return m, fmt.Errorf("implausible geometry %dx%d in %d blocks", m.rows, m.cols, m.nblocks)
 	}
-	sparseKind := m.kind == KindSparseMatrix || m.kind == KindSparseVector
-	// Dense kinds must hold rows×cols elements in their blocks; sparse
-	// kinds legitimately store fewer (that is the point), and their
-	// directory is validated by the sparse allocator instead.
-	// float64 comparison: corrupt 64-bit dimensions must not overflow
-	// the check that is there to reject them.
-	if !sparseKind &&
-		float64(m.rows)*math.Max(float64(m.cols), 1) > float64(m.nblocks)*float64(blockElems) {
-		return m, fmt.Errorf("implausible geometry %dx%d in %d blocks", m.rows, m.cols, m.nblocks)
+	// A dense entry stores every tile (chunk) its dimensions imply; a
+	// sparse one has a directory entry per tile and stores only the
+	// non-empty ones.
+	want, err := gridSize(m.kind, m.rows, m.cols, m.shape, int64(c.pool.Device().BlockElems()))
+	if err != nil {
+		return m, err
 	}
-	if sparseKind {
-		dirLen, err := readU32(r)
+	if m.kind == KindVector || m.kind == KindMatrix {
+		if int64(m.nblocks) != want {
+			return m, fmt.Errorf("implausible geometry %dx%d in %d blocks, grid wants %d",
+				m.rows, m.cols, m.nblocks, want)
+		}
+		return m, nil
+	}
+	dirLen, err := readU32(r)
+	if err != nil {
+		return m, err
+	}
+	if int64(dirLen) != want || want > maxEntryBlocks {
+		return m, fmt.Errorf("implausible sparse geometry %dx%d: directory %d, grid wants %d",
+			m.rows, m.cols, dirLen, want)
+	}
+	m.dir = make([]int32, dirLen)
+	stored := 0
+	for i := range m.dir {
+		n, err := readU32(r)
 		if err != nil {
 			return m, err
 		}
-		// The sparse twin of the dense plausibility check above: the
-		// directory length must match the grid the dimensions imply,
-		// and the payload cannot exceed the directory.
-		want, gerr := sparseGridSize(m.kind, m.rows, m.cols, m.shape, blockElems)
-		if gerr != nil {
-			return m, gerr
+		m.dir[i] = int32(n)
+		if m.dir[i] > 0 {
+			stored++
 		}
-		if int64(dirLen) != want || want > maxEntryBlocks || int64(m.nblocks) > want {
-			return m, fmt.Errorf("implausible sparse geometry %dx%d: directory %d, %d blocks, grid wants %d",
-				m.rows, m.cols, dirLen, m.nblocks, want)
-		}
-		m.dir = make([]int32, dirLen)
-		for i := range m.dir {
-			n, err := readU32(r)
-			if err != nil {
-				return m, err
-			}
-			m.dir[i] = int32(n)
-		}
+	}
+	if stored != int(m.nblocks) {
+		return m, fmt.Errorf("implausible sparse entry: directory has %d non-empty tiles, %d blocks declared",
+			stored, m.nblocks)
 	}
 	return m, nil
 }
 
 // allocEntry allocates fresh catalog-owned device storage matching the
 // parsed metadata and returns the entry plus its block IDs in file
-// order.
-func (c *Catalog) allocEntry(m entryMeta) (*Entry, []disk.BlockID, error) {
+// order. avail is how many payload bytes the source still holds: an
+// entry declaring more is rejected before anything is allocated.
+func (c *Catalog) allocEntry(m entryMeta, avail int64) (*Entry, []disk.BlockID, error) {
+	if need := int64(m.nblocks) * int64(c.pool.Device().BlockElems()) * 8; need > avail {
+		return nil, nil, fmt.Errorf("entry %q: truncated payload: %d bytes declared, %d present", m.name, need, avail)
+	}
 	c.version++
 	e := &Entry{Name: m.name, Kind: m.kind, Version: c.version}
 	var ids []disk.BlockID
@@ -1354,10 +1231,6 @@ func (c *Catalog) allocEntry(m entryMeta) (*Entry, []disk.BlockID, error) {
 	default:
 		return nil, nil, fmt.Errorf("unknown entry kind %d", m.kind)
 	}
-	if int(m.nblocks) != len(ids) {
-		e.FreeStorage()
-		return nil, nil, fmt.Errorf("entry %q: %d blocks in file, geometry wants %d", m.name, m.nblocks, len(ids))
-	}
 	return e, ids, nil
 }
 
@@ -1383,27 +1256,36 @@ func (c *Catalog) importPayload(r io.Reader, name string, ids []disk.BlockID) er
 	return nil
 }
 
-// sparseGridSize returns the tile (or chunk) count a sparse entry's
-// dimensions imply — the length its directory must have. Pure scalar
-// arithmetic: it allocates nothing, so it is safe to run on corrupt
-// headers.
-func sparseGridSize(kind Kind, rows, cols int64, shape array.TileShape, blockElems int64) (int64, error) {
-	if kind == KindSparseVector {
-		return (rows + blockElems - 1) / blockElems, nil
+// gridSize returns the tile (or chunk) count an entry's dimensions
+// imply: the block count of a dense entry, the directory length of a
+// sparse one. Pure scalar arithmetic: it allocates nothing, so it is
+// safe to run on corrupt headers.
+func gridSize(kind Kind, rows, cols int64, shape array.TileShape, blockElems int64) (int64, error) {
+	switch kind {
+	case KindVector:
+		// A dense vector keeps one block even when empty.
+		return max(ceilDiv(rows, blockElems), 1), nil
+	case KindSparseVector:
+		return ceilDiv(rows, blockElems), nil
+	case KindMatrix, KindSparseMatrix:
+	default:
+		return 0, fmt.Errorf("unknown entry kind %d", kind)
 	}
 	tr, tc, err := array.TileDimsFor(int(blockElems), shape)
 	if err != nil {
 		return 0, err
 	}
-	gr := (rows + int64(tr) - 1) / int64(tr)
-	gc := (cols + int64(tc) - 1) / int64(tc)
+	gr, gc := ceilDiv(rows, int64(tr)), ceilDiv(cols, int64(tc))
 	// Bound each side before multiplying so corrupt dimensions cannot
 	// overflow the product into a small, plausible-looking value.
 	if gr > maxEntryBlocks || gc > maxEntryBlocks {
-		return 0, fmt.Errorf("implausible sparse grid %d×%d", gr, gc)
+		return 0, fmt.Errorf("implausible grid %d×%d", gr, gc)
 	}
 	return gr * gc, nil
 }
+
+// ceilDiv returns ⌈n/d⌉ for n ≥ 0 and d > 0 without overflowing.
+func ceilDiv(n, d int64) int64 { return n/d + min(n%d, 1) }
 
 func writeU32(w io.Writer, v uint32) error {
 	var b [4]byte

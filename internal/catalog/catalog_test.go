@@ -3,6 +3,7 @@ package catalog
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,12 +13,12 @@ import (
 	"riot/internal/sparse"
 )
 
-func newPool(t *testing.T, blockElems int, frames int) *buffer.Pool {
+func newPool(t testing.TB, blockElems int, frames int) *buffer.Pool {
 	t.Helper()
 	return buffer.NewSharded(disk.NewDevice(blockElems), frames, 4)
 }
 
-func fillVector(t *testing.T, pool *buffer.Pool, name string, n int64, f func(int64) float64) *array.Vector {
+func fillVector(t testing.TB, pool *buffer.Pool, name string, n int64, f func(int64) float64) *array.Vector {
 	t.Helper()
 	v, err := array.NewVector(pool, name, n)
 	if err != nil {
@@ -206,7 +207,8 @@ func TestRejectsCorruptFiles(t *testing.T) {
 		t.Fatal("Open accepted a file with bad magic")
 	}
 
-	// Right magic, truncated payload.
+	// Right magic, truncated payload: the segment beside the manifest
+	// ends before the entry's declared extent does.
 	pool := newPool(t, 64, 64)
 	cat, err := Open(t.TempDir(), pool)
 	if err != nil {
@@ -223,19 +225,27 @@ func TestRejectsCorruptFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, whole[:len(whole)-16], 0o666); err != nil {
+	seg, err := os.ReadFile(filepath.Join(cat.Dir(), segFileName(1)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, newPool(t, 64, 16)); err == nil {
-		t.Fatal("Open accepted a truncated catalog")
-	}
-
-	// Block-size mismatch.
+	segPath := filepath.Join(dir, segFileName(1))
 	if err := os.WriteFile(path, whole, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, newPool(t, 128, 16)); err == nil {
-		t.Fatal("Open accepted a catalog with mismatched block size")
+	if err := os.WriteFile(segPath, seg[:len(seg)-16], 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, newPool(t, 64, 16)); err == nil || !strings.Contains(err.Error(), "truncated payload") {
+		t.Fatalf("Open of a truncated segment: err = %v, want truncated payload", err)
+	}
+
+	// Block-size mismatch.
+	if err := os.WriteFile(segPath, seg, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, newPool(t, 128, 16)); err == nil || !strings.Contains(err.Error(), "block size") {
+		t.Fatalf("Open with a mismatched block size: err = %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -173,7 +174,7 @@ func TestIncrementalCheckpoint(t *testing.T) {
 
 // TestWALOffDrainsStaleWAL: a WALOff open over a directory a WAL-mode
 // process crashed in still sees the acknowledged publishes, and its
-// next full checkpoint absorbs and removes the log and segments.
+// next checkpoint absorbs them and removes the log.
 func TestWALOffDrainsStaleWAL(t *testing.T) {
 	dir := t.TempDir()
 	cat := openWAL(t, dir, 64, 64)
@@ -201,7 +202,7 @@ func TestWALOffDrainsStaleWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, wal.FileName)); !os.IsNotExist(err) {
-		t.Fatalf("stale wal.riot not removed after full checkpoint (err=%v)", err)
+		t.Fatalf("stale wal.riot not removed after checkpoint (err=%v)", err)
 	}
 
 	cat3, err := Open(dir, newPool(t, 64, 64))
@@ -213,6 +214,116 @@ func TestWALOffDrainsStaleWAL(t *testing.T) {
 		t.Fatal("x lost after WAL drain + checkpoint")
 	} else if got, _ := e.Vec.At(10); got != 100 {
 		t.Fatalf("x[10] = %g, want 100", got)
+	}
+}
+
+// putConst publishes a 100-element vector of val under name.
+func putConst(t *testing.T, cat *Catalog, name string, val float64) {
+	t.Helper()
+	v := fillVector(t, cat.pool, fmt.Sprintf("%s-src-%g", name, val), 100, func(int64) float64 { return val })
+	if _, err := cat.PutVector(name, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkConst requires that name reads val everywhere.
+func checkConst(t *testing.T, cat *Catalog, name string, val float64) {
+	t.Helper()
+	e, ok := cat.Get(name)
+	if !ok {
+		t.Fatalf("%s lost", name)
+	}
+	for _, i := range []int64{0, 99} {
+		if got, _ := e.Vec.At(i); got != val {
+			t.Fatalf("%s[%d] = %g, want %g", name, i, got, val)
+		}
+	}
+}
+
+// TestModeSwitchKeepsLatestValues moves one directory WAL → off → WAL
+// with crashes in between. The WAL-off checkpoint leaves a manifest
+// covering LSNs no log holds any more, so the next WAL-mode open must
+// continue its fresh log past them: a publish that reused a covered
+// LSN would be skipped by the next replay.
+func TestModeSwitchKeepsLatestValues(t *testing.T) {
+	dir := t.TempDir()
+	cat := openWAL(t, dir, 64, 64)
+	putConst(t, cat, "a", 1)
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	putConst(t, cat, "b", 2)
+	// Crash: b lives only in the log.
+
+	off, err := Open(dir, newPool(t, 64, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	putConst(t, off, "c", 3)
+	putConst(t, off, "a", 4)
+	if err := off.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cat = openWAL(t, dir, 64, 64)
+	putConst(t, cat, "d", 5)
+	// Crash: d lives only in the log.
+
+	cat = openWAL(t, dir, 64, 64)
+	defer cat.Close()
+	if got := cat.List(); len(got) != 4 {
+		t.Fatalf("List = %v, want [a b c d]", got)
+	}
+	for name, val := range map[string]float64{"a": 4, "b": 2, "c": 3, "d": 5} {
+		checkConst(t, cat, name, val)
+	}
+}
+
+// TestWALOffCrashWindow: a crash between a WAL-off checkpoint's
+// manifest rename and its removal of the drained wal.riot leaves both
+// files behind. The manifest covers every record of that log, so a
+// reopen in either mode skips them all and the WAL-off republish wins.
+func TestWALOffCrashWindow(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, wal.FileName)
+	cat := openWAL(t, dir, 64, 64)
+	putConst(t, cat, "x", 1)
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	putConst(t, cat, "x", 2)
+	// Crash: the log starts past LSN 1 and holds x = 2.
+	drained, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	off, err := Open(dir, newPool(t, 64, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConst(t, off, "x", 2)
+	putConst(t, off, "x", 3)
+	if err := off.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
+		t.Fatalf("drained wal.riot not removed (err=%v)", err)
+	}
+
+	for _, mode := range []WALMode{WALOff, WALAlways} {
+		// The removal never happened.
+		if err := os.WriteFile(walPath, drained, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		cat, err := OpenWith(dir, newPool(t, 64, 64), Options{WAL: mode})
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		checkConst(t, cat, "x", 3)
+		if err := cat.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -270,38 +381,45 @@ func TestCorruptCatalogTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seg, err := os.ReadFile(filepath.Join(srcDir, segFileName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	// Each case damages one of the two files and keeps the other good.
 	cases := []struct {
-		name    string
-		mutate  func() []byte
-		wantSub string
+		name              string
+		manifest, segment []byte
+		wantSub           string
 	}{
 		{
-			name:    "truncated header",
-			mutate:  func() []byte { return good[:10] }, // cut inside the block-size field
-			wantSub: "loading",
+			name:     "truncated header",
+			manifest: good[:10], // cut inside the block-size field
+			segment:  seg,
+			wantSub:  "loading",
 		},
 		{
-			name: "bad magic",
-			mutate: func() []byte {
-				b := append([]byte(nil), good...)
-				copy(b, "NOTACAT!")
-				return b
-			},
-			wantSub: "bad magic",
+			name:     "bad magic",
+			manifest: append([]byte("NOTACAT!"), good[8:]...),
+			segment:  seg,
+			wantSub:  "bad magic",
 		},
 		{
 			name: "payload shorter than declared extent",
-			// Chop half a block off the end: the entry's metadata
+			// Chop half a block off the segment: the entry's metadata
 			// declares more payload than the file holds.
-			mutate:  func() []byte { return good[:len(good)-32] },
-			wantSub: "truncated payload",
+			manifest: good,
+			segment:  seg[:len(seg)-32],
+			wantSub:  "truncated payload",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, FileName), tc.mutate(), 0o666); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, FileName), tc.manifest, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, segFileName(1)), tc.segment, 0o666); err != nil {
 				t.Fatal(err)
 			}
 			_, err := Open(dir, newPool(t, 64, 64)) // must not panic

@@ -228,6 +228,29 @@ func TestFigure1ShapeSmall(t *testing.T) {
 	}
 }
 
+// TestRIOTDBExample1IODeterministic: a RIOT-DB run's I/O depends only on
+// its inputs. The SQL optimizer's greedy join order must not depend on
+// map iteration order, or Figure 1's comparisons can flip between runs.
+func TestRIOTDBExample1IODeterministic(t *testing.T) {
+	const n = 1 << 13
+	const k = 100
+	pageElems := 256
+	memElems := int64(2*int(n/int64(pageElems))+16) * int64(pageElems)
+	for _, mode := range []riotdb.Mode{riotdb.Strawman, riotdb.MatNamed, riotdb.Full} {
+		var first int64
+		for run := 0; run < 3; run++ {
+			e := NewRIOTDB(mode, pageElems, memElems, DefaultTimeModel)
+			runExample1(t, e, n, k)
+			io := e.Report().IOBytes
+			if run == 0 {
+				first = io
+			} else if io != first {
+				t.Fatalf("%s: run %d read and wrote %d bytes, run 0 %d", e.Name(), run, io, first)
+			}
+		}
+	}
+}
+
 func ok(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {

@@ -57,6 +57,7 @@ type entry struct {
 	blocks int
 	refs   int
 	dead   bool // invalidated/evicted while referenced; free on last release
+	ready  bool // copy landed (finishInstall); Acquire misses until then
 	elem   *list.Element
 }
 
@@ -160,11 +161,12 @@ func (c *Cache) HashDAG(root *algebra.Node) *DAGHashes {
 }
 
 // Acquire looks up key and, on a hit, returns a handle that keeps the
-// entry's storage alive until released.
+// entry's storage alive until released. An entry whose install is still
+// copying its value in is a miss.
 func (c *Cache) Acquire(key Key) (*Handle, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
-	if !ok || c.closed {
+	if !ok || !e.ready || c.closed {
 		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
@@ -236,9 +238,11 @@ func (c *Cache) InstallMatrix(key Key, deps []string, src *array.Matrix) (bool, 
 }
 
 // admit reserves quota for a new entry and allocates its storage. The
-// entry enters the table immediately with a synthetic reference (refs
-// pinned at 1) so a concurrent Clear marks it dead instead of freeing
-// storage mid-copy; finishInstall/abortInstall drop that reference.
+// entry enters the table immediately, not yet ready (so Acquire misses
+// it and a racing install of the same key backs off), with a synthetic
+// reference (refs pinned at 1) so a concurrent Clear marks it dead
+// instead of freeing storage mid-copy; finishInstall/abortInstall drop
+// that reference.
 // Returns nil (no error) when admission refuses the entry.
 func (c *Cache) admit(key Key, blocks int, alloc func(owner string) (any, error)) (*entry, error) {
 	c.mu.Lock()
@@ -307,8 +311,8 @@ func (c *Cache) admit(key Key, blocks int, alloc func(owner string) (any, error)
 	return e, nil
 }
 
-// finishInstall publishes a copied-in entry: records its invalidation
-// deps and drops the synthetic install reference.
+// finishInstall publishes a copied-in entry: marks it ready, records
+// its invalidation deps and drops the synthetic install reference.
 func (c *Cache) finishInstall(e *entry, deps []string) {
 	c.mu.Lock()
 	e.refs--
@@ -320,6 +324,7 @@ func (c *Cache) finishInstall(e *entry, deps []string) {
 		}
 		return
 	}
+	e.ready = true
 	e.deps = deps
 	for _, name := range deps {
 		m := c.byName[name]

@@ -275,3 +275,43 @@ func TestConcurrentInstallAcquireInvalidate(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestAcquireMissesUntilInstallFinishes: an admitted entry is in the
+// table before its value is copied in, and Acquire must miss it until
+// finishInstall marks it ready; a hit before then would read zeros.
+func TestAcquireMissesUntilInstallFinishes(t *testing.T) {
+	be := 16
+	pool := buffer.NewSharded(disk.NewDevice(be), 64, 4)
+	c := New(pool, int64(16*be))
+	defer c.Close()
+
+	src, err := array.NewVector(pool, "src", int64(3*be))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillVector(t, src, func(i int64) float64 { return float64(i + 1) })
+	e, err := c.admit(keyOf(1), src.Blocks(), func(owner string) (any, error) {
+		return array.NewVector(c.pool, owner, src.Len())
+	})
+	if e == nil || err != nil {
+		t.Fatalf("admit: entry %v, err %v", e, err)
+	}
+	if h, hit := c.Acquire(keyOf(1)); hit {
+		h.Release()
+		t.Fatal("Acquire hit an entry whose copy has not landed")
+	}
+	if err := copyVector(src, e.vec); err != nil {
+		t.Fatal(err)
+	}
+	c.finishInstall(e, []string{"x"})
+	h, hit := c.Acquire(keyOf(1))
+	if !hit {
+		t.Fatal("Acquire missed a finished install")
+	}
+	defer h.Release()
+	for i := int64(0); i < src.Len(); i++ {
+		if got, _ := h.Vec().At(i); got != float64(i+1) {
+			t.Fatalf("elem %d = %g, want %g", i, got, float64(i+1))
+		}
+	}
+}

@@ -259,12 +259,14 @@ func (db *Database) joinItems(sel *SelectStmt, items []*plan, joins []joinEdge) 
 		if len(cands) == 0 {
 			return nil, fmt.Errorf("sql: query requires a cross product; unsupported")
 		}
-		// Pick the candidate with the smallest estimated join result.
+		// Pick the candidate with the smallest estimated join result,
+		// breaking ties on the lower item index: cands is a map, and its
+		// iteration order must not pick the join order.
 		var best *cand
 		var bestEst int64
 		for _, c := range cands {
 			est := estimateJoin(cur, items[c.item], c.rcols)
-			if best == nil || est < bestEst {
+			if best == nil || est < bestEst || (est == bestEst && c.item < best.item) {
 				best, bestEst = c, est
 			}
 		}

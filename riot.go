@@ -100,8 +100,9 @@ const (
 	// lose at most the last interval's publishes.
 	WALSyncInterval
 	// WALSyncOff disables the log entirely: the database is
-	// checkpoint-only, byte-identical to the pre-WAL engine. Publishes
-	// since the last Checkpoint die with the process.
+	// checkpoint-only, and publishes since the last Checkpoint die with
+	// the process. Checkpoints use the same on-disk format as the other
+	// modes, so a directory can move between modes.
 	WALSyncOff
 )
 
@@ -160,10 +161,10 @@ type Config struct {
 	// WALSync selects the database's write-ahead-log durability mode:
 	// WALSyncAlways (default — every acknowledged publish survives a
 	// crash), WALSyncInterval (bounded loss window), or WALSyncOff
-	// (checkpoint-only, the pre-WAL behavior). The log lives on the
-	// host filesystem next to the catalog; its I/O is never charged to
-	// the simulated device, so the paper's counters are identical in
-	// every mode. Ignored by NewSession.
+	// (checkpoint-only, no log). The log lives on the host filesystem
+	// next to the catalog; its I/O is never charged to the simulated
+	// device, so the paper's counters are identical in every mode.
+	// Ignored by NewSession.
 	WALSync WALSync
 	// WALFlushInterval is the background fsync period under
 	// WALSyncInterval. Default 50ms. Ignored in other modes.
