@@ -67,6 +67,9 @@
 // only their non-empty tiles' payloads, in row-major tile order.
 // wal.riot is the log itself (see internal/wal for its format).
 //
+// Every field is written and read through internal/codec; the layout
+// above is unchanged by that, byte for byte (TestOnDiskBytesPinned).
+//
 // A file whose magic or block size does not match is rejected rather
 // than guessed at, and every declared size is checked against the
 // geometry and the bytes present before anything is allocated. Sparse
@@ -77,10 +80,8 @@ package catalog
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,6 +92,7 @@ import (
 
 	"riot/internal/array"
 	"riot/internal/buffer"
+	"riot/internal/codec"
 	"riot/internal/disk"
 	"riot/internal/sparse"
 	"riot/internal/wal"
@@ -276,16 +278,14 @@ func OpenWith(dir string, pool *buffer.Pool, opts Options) (*Catalog, error) {
 	}
 	c := &Catalog{dir: dir, pool: pool.Root(), entries: make(map[string]*Entry)}
 	path := filepath.Join(dir, FileName)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err):
 		// Fresh directory: nothing to load.
 	case err != nil:
 		return nil, fmt.Errorf("catalog: %w", err)
 	default:
-		err = c.load(bufio.NewReaderSize(f, 1<<20))
-		f.Close()
-		if err != nil {
+		if err := c.load(data); err != nil {
 			return nil, fmt.Errorf("catalog: loading %s: %w", path, err)
 		}
 	}
@@ -663,21 +663,20 @@ func (c *Catalog) writeSegment(gen uint64, dirty []*Entry) error {
 	blockElems := c.pool.Device().BlockElems()
 	offsets := make([]int64, len(dirty))
 	err := c.writeFileAtomic(segFileName(gen), func(w io.Writer) error {
-		if _, err := w.Write([]byte(SegMagic)); err != nil {
+		var hdr codec.Writer
+		hdr.Write([]byte(SegMagic))
+		hdr.U32(uint32(blockElems))
+		if _, err := w.Write(hdr.Bytes()); err != nil {
 			return err
 		}
-		if err := writeU32(w, uint32(blockElems)); err != nil {
-			return err
-		}
-		off := int64(len(SegMagic) + 4)
-		buf := make([]byte, blockElems*8)
+		off := int64(hdr.Len())
 		for i, e := range dirty {
 			offsets[i] = off
 			we, err := describeEntry(e)
 			if err != nil {
 				return fmt.Errorf("entry %q: %w", e.Name, err)
 			}
-			if err := c.writePayload(w, we.ids, buf); err != nil {
+			if err := c.writePayload(w, we.ids); err != nil {
 				return fmt.Errorf("entry %q: %w", e.Name, err)
 			}
 			off += int64(len(we.ids)) * int64(blockElems) * 8
@@ -699,47 +698,31 @@ func (c *Catalog) writeSegment(gen uint64, dirty []*Entry) error {
 // writeManifest writes the manifest referencing every entry's segment.
 // Callers hold c.mu, and every entry has a segment reference.
 func (c *Catalog) writeManifest(durable, gen uint64) error {
-	return c.writeFileAtomic(FileName, func(w io.Writer) error {
-		if _, err := w.Write([]byte(Magic)); err != nil {
-			return err
+	var w codec.Writer
+	w.Write([]byte(Magic))
+	w.U32(uint32(c.pool.Device().BlockElems()))
+	w.U64(durable)
+	w.U64(gen)
+	w.U32(uint32(len(c.entries)))
+	names := make([]string, 0, len(c.entries))
+	for n := range c.entries {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		e := c.entries[name]
+		we, err := describeEntry(e)
+		if err != nil {
+			return fmt.Errorf("catalog: entry %q: %w", name, err)
 		}
-		if err := writeU32(w, uint32(c.pool.Device().BlockElems())); err != nil {
-			return err
-		}
-		if err := writeU64(w, durable); err != nil {
-			return err
-		}
-		if err := writeU64(w, gen); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(len(c.entries))); err != nil {
-			return err
-		}
-		names := make([]string, 0, len(c.entries))
-		for n := range c.entries {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			e := c.entries[name]
-			we, err := describeEntry(e)
-			if err != nil {
-				return fmt.Errorf("entry %q: %w", name, err)
-			}
-			if err := writeMeta(w, we, 1); err != nil {
-				return fmt.Errorf("entry %q: %w", name, err)
-			}
-			if err := writeU64(w, e.LSN); err != nil {
-				return err
-			}
-			if err := writeU64(w, e.segGen); err != nil {
-				return err
-			}
-			if err := writeU64(w, uint64(e.segOff)); err != nil {
-				return err
-			}
-		}
-		return nil
+		writeMeta(&w, we, 1)
+		w.U64(e.LSN)
+		w.U64(e.segGen)
+		w.U64(uint64(e.segOff))
+	}
+	return c.writeFileAtomic(FileName, func(f io.Writer) error {
+		_, err := f.Write(w.Bytes())
+		return err
 	})
 }
 
@@ -868,50 +851,30 @@ func describeEntry(e *Entry) (wireEntry, error) {
 // writeMeta writes one entry's metadata in the wire layout the manifest
 // and WAL publish records share. flag 0 means the payload follows
 // inline, 1 means a segment reference follows.
-func writeMeta(w io.Writer, we wireEntry, flag byte) error {
-	if err := writeU32(w, uint32(len(we.name))); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte(we.name)); err != nil {
-		return err
-	}
-	hdr := []byte{byte(we.kind), byte(we.shape), byte(we.lin), flag}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if err := writeI64(w, we.rows); err != nil {
-		return err
-	}
-	if err := writeI64(w, we.cols); err != nil {
-		return err
-	}
-	if err := writeU32(w, uint32(len(we.ids))); err != nil {
-		return err
-	}
+func writeMeta(w *codec.Writer, we wireEntry, flag byte) {
+	w.Str(we.name)
+	w.Write([]byte{byte(we.kind), byte(we.shape), byte(we.lin), flag})
+	w.I64(we.rows)
+	w.I64(we.cols)
+	w.U32(uint32(len(we.ids)))
 	if we.dir != nil {
-		if err := writeU32(w, uint32(len(we.dir))); err != nil {
-			return err
-		}
+		w.U32(uint32(len(we.dir)))
 		for _, n := range we.dir {
-			if err := writeU32(w, uint32(n)); err != nil {
-				return err
-			}
+			w.U32(uint32(n))
 		}
 	}
-	return nil
 }
 
 // writePayload captures the blocks' current contents (resident frames
 // included, via the pool's uncharged Export) and writes them to w.
-func (c *Catalog) writePayload(w io.Writer, ids []disk.BlockID, buf []byte) error {
+func (c *Catalog) writePayload(w io.Writer, ids []disk.BlockID) error {
 	block := make([]float64, c.pool.Device().BlockElems())
+	buf := make([]byte, 8*len(block))
 	for _, id := range ids {
 		if err := c.pool.Export(id, block); err != nil {
 			return err
 		}
-		for i, v := range block {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-		}
+		codec.PutF64s(buf, block)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
@@ -926,23 +889,18 @@ func (c *Catalog) encodePublish(e *Entry) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	blockElems := c.pool.Device().BlockElems()
-	var b bytes.Buffer
-	b.Grow(64 + len(we.ids)*blockElems*8)
-	if err := writeMeta(&b, we, 0); err != nil {
+	w := codec.NewWriter(64 + len(we.ids)*c.pool.Device().BlockElems()*8)
+	writeMeta(w, we, 0)
+	if err := c.writePayload(w, we.ids); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, blockElems*8)
-	if err := c.writePayload(&b, we.ids, buf); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	return w.Bytes(), nil
 }
 
 // decodePublish restores an entry from a WAL record body (metadata plus
 // inline payload) into fresh catalog-owned storage.
 func (c *Catalog) decodePublish(payload []byte) (*Entry, error) {
-	r := bytes.NewReader(payload)
+	r := codec.NewReader(payload)
 	m, err := c.readMeta(r)
 	if err != nil {
 		return nil, err
@@ -951,7 +909,7 @@ func (c *Catalog) decodePublish(payload []byte) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.importPayload(r, e.Name, ids); err != nil {
+	if err := c.importPayload(bytes.NewReader(r.Bytes(r.Len())), e.Name, ids); err != nil {
 		e.FreeStorage()
 		return nil, err
 	}
@@ -961,27 +919,16 @@ func (c *Catalog) decodePublish(payload []byte) (*Entry, error) {
 // load restores a manifest: per-entry metadata with segment references,
 // payloads read from the referenced segment files. The catalog's LSN
 // becomes the one the manifest covers.
-func (c *Catalog) load(r io.Reader) error {
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("reading magic: %w", err)
-	}
-	if string(magic) != Magic {
+func (c *Catalog) load(data []byte) error {
+	r := codec.NewReader(data)
+	if magic := r.Bytes(len(Magic)); string(magic) != Magic {
 		return fmt.Errorf("bad magic %q (not a catalog file, or an unsupported version)", magic)
 	}
 	if err := c.checkBlockElems(r); err != nil {
 		return err
 	}
-	durable, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	gen, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	count, err := readU32(r)
-	if err != nil {
+	durable, gen, count := r.U64(), r.U64(), r.U32()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	segs := make(map[uint64]*os.File)
@@ -1000,10 +947,10 @@ func (c *Catalog) load(r io.Reader) error {
 }
 
 // checkBlockElems validates a file's block size against the device.
-func (c *Catalog) checkBlockElems(r io.Reader) error {
+func (c *Catalog) checkBlockElems(r *codec.Reader) error {
 	blockElems := c.pool.Device().BlockElems()
-	fileB, err := readU32(r)
-	if err != nil {
+	fileB := r.U32()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if int(fileB) != blockElems {
@@ -1013,7 +960,7 @@ func (c *Catalog) checkBlockElems(r io.Reader) error {
 }
 
 // loadEntry restores one manifest entry from its segment.
-func (c *Catalog) loadEntry(r io.Reader, segs map[uint64]*os.File) error {
+func (c *Catalog) loadEntry(r *codec.Reader, segs map[uint64]*os.File) error {
 	m, err := c.readMeta(r)
 	if err != nil {
 		return err
@@ -1021,16 +968,8 @@ func (c *Catalog) loadEntry(r io.Reader, segs map[uint64]*os.File) error {
 	if m.flag != 1 {
 		return fmt.Errorf("entry %q: manifest entry without a segment reference", m.name)
 	}
-	lsn, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	segGen, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	segOff, err := readU64(r)
-	if err != nil {
+	lsn, segGen, segOff := r.U64(), r.U64(), r.U64()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	sf := segs[segGen]
@@ -1068,16 +1007,17 @@ func (c *Catalog) openSegment(gen uint64) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("opening segment %d: %w", gen, err)
 	}
-	hdr := make([]byte, len(SegMagic))
+	hdr := make([]byte, len(SegMagic)+4)
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("segment %d: reading magic: %w", gen, err)
+		return nil, fmt.Errorf("segment %d: reading header: %w", gen, err)
 	}
-	if string(hdr) != SegMagic {
+	r := codec.NewReader(hdr)
+	if magic := r.Bytes(len(SegMagic)); string(magic) != SegMagic {
 		f.Close()
-		return nil, fmt.Errorf("segment %d: bad magic %q", gen, hdr)
+		return nil, fmt.Errorf("segment %d: bad magic %q", gen, magic)
 	}
-	if err := c.checkBlockElems(f); err != nil {
+	if err := c.checkBlockElems(r); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("segment %d: %w", gen, err)
 	}
@@ -1109,35 +1049,17 @@ type entryMeta struct {
 // layout. Every check runs before any geometry-sized allocation, so a
 // corrupt header cannot drive one: on success nblocks is exactly the
 // block count allocEntry will create for the entry.
-func (c *Catalog) readMeta(r io.Reader) (entryMeta, error) {
-	var m entryMeta
-	nameLen, err := readU32(r)
-	if err != nil {
+func (c *Catalog) readMeta(r *codec.Reader) (entryMeta, error) {
+	m := entryMeta{name: r.Str()}
+	if err := r.Err(); err != nil {
 		return m, err
 	}
-	if nameLen == 0 || nameLen > maxNameLen {
-		return m, fmt.Errorf("implausible name length %d", nameLen)
+	if len(m.name) == 0 || len(m.name) > maxNameLen {
+		return m, fmt.Errorf("implausible name length %d", len(m.name))
 	}
-	nameBytes := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBytes); err != nil {
-		return m, err
-	}
-	m.name = string(nameBytes)
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return m, err
-	}
-	m.kind = Kind(hdr[0])
-	m.shape = array.TileShape(hdr[1])
-	m.lin = array.Linearization(hdr[2])
-	m.flag = hdr[3]
-	if m.rows, err = readI64(r); err != nil {
-		return m, err
-	}
-	if m.cols, err = readI64(r); err != nil {
-		return m, err
-	}
-	if m.nblocks, err = readU32(r); err != nil {
+	m.kind, m.shape, m.lin, m.flag = Kind(r.U8()), array.TileShape(r.U8()), array.Linearization(r.U8()), r.U8()
+	m.rows, m.cols, m.nblocks = r.I64(), r.I64(), r.U32()
+	if err := r.Err(); err != nil {
 		return m, err
 	}
 	if m.rows < 0 || m.cols < 0 || m.nblocks > maxEntryBlocks {
@@ -1157,25 +1079,24 @@ func (c *Catalog) readMeta(r io.Reader) (entryMeta, error) {
 		}
 		return m, nil
 	}
-	dirLen, err := readU32(r)
-	if err != nil {
+	dirLen := r.U32()
+	if err := r.Err(); err != nil {
 		return m, err
 	}
 	if int64(dirLen) != want || want > maxEntryBlocks {
 		return m, fmt.Errorf("implausible sparse geometry %dx%d: directory %d, grid wants %d",
 			m.rows, m.cols, dirLen, want)
 	}
-	m.dir = make([]int32, dirLen)
+	m.dir = make([]int32, r.Count(int(dirLen), 4))
 	stored := 0
 	for i := range m.dir {
-		n, err := readU32(r)
-		if err != nil {
-			return m, err
-		}
-		m.dir[i] = int32(n)
+		m.dir[i] = int32(r.U32())
 		if m.dir[i] > 0 {
 			stored++
 		}
+	}
+	if err := r.Err(); err != nil {
+		return m, err
 	}
 	if stored != int(m.nblocks) {
 		return m, fmt.Errorf("implausible sparse entry: directory has %d non-empty tiles, %d blocks declared",
@@ -1238,17 +1159,14 @@ func (c *Catalog) allocEntry(m entryMeta, avail int64) (*Entry, []disk.BlockID, 
 // (uncharged: restored state is the starting condition of a
 // measurement, not part of it).
 func (c *Catalog) importPayload(r io.Reader, name string, ids []disk.BlockID) error {
-	blockElems := c.pool.Device().BlockElems()
-	buf := make([]byte, blockElems*8)
-	block := make([]float64, blockElems)
 	dev := c.pool.Device()
+	block := make([]float64, dev.BlockElems())
+	buf := make([]byte, 8*len(block))
 	for _, id := range ids {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("entry %q: truncated payload: %w", name, err)
 		}
-		for i := range block {
-			block[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
+		codec.GetF64s(block, buf)
 		if err := dev.Import(id, block); err != nil {
 			return err
 		}
@@ -1286,48 +1204,3 @@ func gridSize(kind Kind, rows, cols int64, shape array.TileShape, blockElems int
 
 // ceilDiv returns ⌈n/d⌉ for n ≥ 0 and d > 0 without overflowing.
 func ceilDiv(n, d int64) int64 { return n/d + min(n%d, 1) }
-
-func writeU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func writeI64(w io.Writer, v int64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func readI64(r io.Reader) (int64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(b[:])), nil
-}

@@ -11,6 +11,7 @@ import (
 
 	"riot"
 	"riot/internal/array"
+	"riot/internal/codec"
 	"riot/internal/plan"
 )
 
@@ -183,9 +184,9 @@ func (p *Peer) handshake(coordID string, timeout time.Duration) error {
 	if _, err := p.w.WriteString(Magic); err != nil {
 		return err
 	}
-	var h wbuf
-	h.str(coordID)
-	if err := WriteFrame(p.w, FrameHello, h.b); err != nil {
+	var h codec.Writer
+	h.Str(coordID)
+	if err := WriteFrame(p.w, FrameHello, h.Bytes()); err != nil {
 		return err
 	}
 	if err := p.w.Flush(); err != nil {
@@ -202,9 +203,7 @@ func (p *Peer) handshake(coordID string, timeout time.Duration) error {
 	if err != nil || t != FrameHello {
 		return fmt.Errorf("expected Hello, got type %#x (%v)", t, err)
 	}
-	var r rbuf
-	r.b = payload
-	if got := r.str(); got != p.id {
+	if got := codec.NewReader(payload).Str(); got != p.id {
 		return fmt.Errorf("node identifies as %q, expected %q", got, p.id)
 	}
 	return nil
@@ -232,9 +231,7 @@ func (p *Peer) rpc(t FrameType, payload []byte) (FrameType, []byte, error) {
 	p.c.bytesRecv.Add(int64(len(body) + 5))
 	p.c.frames.Add(1)
 	if rt == FrameErr {
-		var r rbuf
-		r.b = body
-		return 0, nil, fmt.Errorf("%s", r.str())
+		return 0, nil, fmt.Errorf("%s", codec.NewReader(body).Str())
 	}
 	return rt, body, nil
 }
@@ -497,29 +494,28 @@ func (c *Coordinator) runShare(p *Peer, x *mulQuery, base string, share []bandSp
 	if _, _, err := p.rpc(FrameTilePush, body); err != nil {
 		return fmt.Errorf("scatter %s: %w", shName, err)
 	}
-	var e wbuf
-	e.str(outName)
-	e.str(aName)
-	e.str(bName)
-	e.str(x.ring)
-	if _, _, err := p.rpc(FrameExec, e.b); err != nil {
+	var e codec.Writer
+	e.Str(outName)
+	e.Str(aName)
+	e.Str(bName)
+	e.Str(x.ring)
+	if _, _, err := p.rpc(FrameExec, e.Bytes()); err != nil {
 		return fmt.Errorf("exec %s: %w", outName, err)
 	}
-	var f wbuf
-	f.str(outName)
-	t, resp, err := p.rpc(FrameFetch, f.b)
+	var f codec.Writer
+	f.Str(outName)
+	t, resp, err := p.rpc(FrameFetch, f.Bytes())
 	if err != nil {
 		return fmt.Errorf("gather %s: %w", outName, err)
 	}
 	if t != FrameTileData {
 		return fmt.Errorf("gather %s: unexpected frame %#x", outName, t)
 	}
-	var r rbuf
-	r.b = resp
-	gr, gc := r.denseDims()
-	got := r.f64s(int(gr * gc))
-	if r.fail() {
-		return fmt.Errorf("gather %s: %w", outName, r.err)
+	r := codec.NewReader(resp)
+	gr, gc := denseDims(r)
+	got := r.F64s(int(gr * gc))
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("gather %s: %w", outName, err)
 	}
 	n := spanLen(share)
 	k := x.k
@@ -557,9 +553,9 @@ func (c *Coordinator) dropQuery(q string) {
 	}
 	c.mu.Unlock()
 	for _, p := range peers {
-		var w wbuf
-		w.str(q + ".")
-		p.rpc(FrameDrop, w.b)
+		var w codec.Writer
+		w.Str(q + ".")
+		p.rpc(FrameDrop, w.Bytes())
 	}
 }
 
@@ -578,11 +574,9 @@ func (c *Coordinator) PeerStats(id string) (ioBytes, seqOps, randOps, flops int6
 	if t != FrameStatsData {
 		return 0, 0, 0, 0, fmt.Errorf("cluster: peer %s: stats answered %#x", id, t)
 	}
-	var r rbuf
-	r.b = body
-	ioBytes, seqOps = int64(r.u64()), int64(r.u64())
-	randOps, flops = int64(r.u64()), int64(r.u64())
-	return ioBytes, seqOps, randOps, flops, r.err
+	r := codec.NewReader(body)
+	ioBytes, seqOps, randOps, flops = r.I64(), r.I64(), r.I64(), r.I64()
+	return ioBytes, seqOps, randOps, flops, r.Err()
 }
 
 // Explain renders the distributed physical plan for C = A ⊗ B under the

@@ -1,21 +1,30 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"slices"
+
+	"riot/internal/codec"
 )
 
 // Magic is the remote-frame handshake preamble both sides send before
-// their Hello frame (PROTOCOL.md §Remote frames). Version 2 changed the
-// TilePush payload to a per-kind body (sparse operands travel as their
-// nonzeros), so version-1 peers are rejected at the handshake.
-const Magic = "RIOTRMT2"
+// their Hello frame (PROTOCOL.md §Remote frames). Version 3 encodes
+// every integer little-endian (internal/codec), so peers of earlier
+// versions are rejected at the handshake.
+const Magic = "RIOTRMT3"
 
-// maxFramePayload bounds one frame's payload so a corrupt length prefix
-// cannot ask a node to allocate unbounded memory.
+// maxFramePayload bounds one frame's payload length.
 const maxFramePayload = 1 << 30
+
+// maxFrameValues is the most float64 values one TileData frame carries
+// after its dims. A node refuses to compute or fetch a larger array, so
+// a tiny push declaring huge sparse dims cannot make it materialize one.
+const maxFrameValues = (maxFramePayload - 16) / 8
+
+// frameChunk is how much of a frame's payload ReadFrame allocates ahead
+// of the bytes that have arrived: a length prefix alone never buys more.
+const frameChunk = 1 << 20
 
 // FrameType tags a remote frame.
 type FrameType uint8
@@ -50,16 +59,16 @@ const (
 	FrameErr FrameType = 0x7F
 )
 
-// WriteFrame writes one frame: a 1-byte type, a 4-byte big-endian
+// WriteFrame writes one frame: a 1-byte type, a 4-byte little-endian
 // payload length, and the payload.
 func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = byte(t)
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("cluster: frame payload %d exceeds limit", len(payload))
 	}
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := codec.NewWriter(5)
+	hdr.U8(uint8(t))
+	hdr.U32(uint32(len(payload)))
+	if _, err := w.Write(hdr.Bytes()); err != nil {
 		return err
 	}
 	if len(payload) == 0 {
@@ -72,130 +81,32 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame written by WriteFrame.
+// ReadFrame reads one frame written by WriteFrame. The payload buffer
+// starts at one chunk and at most doubles as bytes arrive, so a peer
+// that declares a large frame and sends less costs at most a chunk or
+// twice what it sent.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	h := codec.NewReader(hdr[:])
+	t, n := FrameType(h.U8()), int(h.U32())
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("cluster: frame payload %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	payload := make([]byte, 0, min(n, frameChunk))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(n-len(payload), len(payload)))
+		}
+		chunk := payload[len(payload):min(cap(payload), n)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return 0, nil, err
+		}
+		payload = payload[:len(payload)+len(chunk)]
 	}
-	return FrameType(hdr[0]), payload, nil
-}
-
-// wbuf builds a frame payload. Strings are a 4-byte big-endian length
-// plus UTF-8 bytes; integers are 4- or 8-byte big-endian; float64 values
-// are 8-byte little-endian IEEE 754 bits (the host layout of the tiles).
-type wbuf struct{ b []byte }
-
-func (w *wbuf) str(s string) {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-	w.b = append(w.b, n[:]...)
-	w.b = append(w.b, s...)
-}
-
-func (w *wbuf) u8(v uint8) { w.b = append(w.b, v) }
-
-func (w *wbuf) u32(v uint32) {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], v)
-	w.b = append(w.b, n[:]...)
-}
-
-func (w *wbuf) u64(v uint64) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], v)
-	w.b = append(w.b, n[:]...)
-}
-
-func (w *wbuf) f64s(vals []float64) {
-	off := len(w.b)
-	w.b = append(w.b, make([]byte, 8*len(vals))...)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(w.b[off+8*i:], math.Float64bits(v))
-	}
-}
-
-// rbuf parses a frame payload; the first decode error sticks.
-type rbuf struct {
-	b   []byte
-	err error
-}
-
-func (r *rbuf) fail() bool { return r.err != nil }
-
-func (r *rbuf) need(n int) bool {
-	if r.err == nil && len(r.b) < n {
-		r.err = fmt.Errorf("cluster: truncated frame payload")
-	}
-	return r.err == nil
-}
-
-func (r *rbuf) str() string {
-	if !r.need(4) {
-		return ""
-	}
-	n := int(binary.BigEndian.Uint32(r.b))
-	r.b = r.b[4:]
-	if !r.need(n) {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *rbuf) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rbuf) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *rbuf) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-// f64s decodes n values. The count is checked against the bytes left
-// before anything is multiplied or allocated, so a corrupt count can
-// neither overflow 8·n nor drive a huge allocation.
-func (r *rbuf) f64s(n int) []float64 {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b)/8 {
-		r.err = fmt.Errorf("cluster: frame payload holds %d bytes, not %d values", len(r.b), n)
-		return nil
-	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
-	}
-	r.b = r.b[8*n:]
-	return vals
+	return t, payload, nil
 }
 
 // maxDim bounds each declared matrix dimension: in-tile indexes and
@@ -203,12 +114,12 @@ func (r *rbuf) f64s(n int) []float64 {
 const maxDim = 1<<31 - 1
 
 // dims reads a rows, cols pair, each of which must lie in [0, maxDim].
-func (r *rbuf) dims() (rows, cols int64) {
-	rows, cols = int64(r.u64()), int64(r.u64())
-	if r.err == nil && (rows < 0 || cols < 0 || rows > maxDim || cols > maxDim) {
-		r.err = fmt.Errorf("cluster: implausible dims %dx%d", uint64(rows), uint64(cols))
+func dims(r *codec.Reader) (rows, cols int64) {
+	rows, cols = r.I64(), r.I64()
+	if r.Err() == nil && (rows < 0 || cols < 0 || rows > maxDim || cols > maxDim) {
+		r.Fail(fmt.Errorf("cluster: implausible dims %dx%d", uint64(rows), uint64(cols)))
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return 0, 0
 	}
 	return rows, cols
@@ -217,10 +128,10 @@ func (r *rbuf) dims() (rows, cols int64) {
 // denseDims reads dims that must describe exactly the row-major values
 // left in the payload. The bounds keep rows·cols from overflowing, and
 // the match is checked before the caller allocates.
-func (r *rbuf) denseDims() (rows, cols int64) {
-	rows, cols = r.dims()
-	if r.err == nil && (len(r.b)%8 != 0 || rows*cols != int64(len(r.b)/8)) {
-		r.err = fmt.Errorf("cluster: %dx%d values do not match a %d-byte payload", rows, cols, len(r.b))
+func denseDims(r *codec.Reader) (rows, cols int64) {
+	rows, cols = dims(r)
+	if r.Err() == nil && (r.Len()%8 != 0 || rows*cols != int64(r.Len()/8)) {
+		r.Fail(fmt.Errorf("cluster: %dx%d values do not match a %d-byte payload", rows, cols, r.Len()))
 		return 0, 0
 	}
 	return rows, cols

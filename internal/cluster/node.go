@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"riot"
+	"riot/internal/codec"
 )
 
 // Node is the serving side of the remote-frame protocol: one riot-serve
@@ -101,9 +102,9 @@ func (n *Node) ServeConn(conn net.Conn) error {
 		}
 		resp, body, err := n.dispatch(t, payload)
 		if err != nil {
-			var e wbuf
-			e.str(err.Error())
-			resp, body = FrameErr, e.b
+			var e codec.Writer
+			e.Str(err.Error())
+			resp, body = FrameErr, e.Bytes()
 		}
 		if err := WriteFrame(conn, resp, body); err != nil {
 			return err
@@ -130,9 +131,9 @@ func (n *Node) handshake(conn net.Conn) error {
 	if _, err := conn.Write([]byte(Magic)); err != nil {
 		return err
 	}
-	var w wbuf
-	w.str(n.id)
-	return WriteFrame(conn, FrameHello, w.b)
+	var w codec.Writer
+	w.Str(n.id)
+	return WriteFrame(conn, FrameHello, w.Bytes())
 }
 
 // dispatch executes one request frame and returns the response.
@@ -161,29 +162,28 @@ func (n *Node) dispatch(t FrameType, payload []byte) (FrameType, []byte, error) 
 // coordinator held. Every count and index is validated against the
 // declared dims and the payload's length before anything is allocated.
 func (n *Node) tilePush(payload []byte) (FrameType, []byte, error) {
-	var r rbuf
-	r.b = payload
-	name := r.str()
-	kind := r.u8()
+	r := codec.NewReader(payload)
+	name := r.Str()
+	kind := r.U8()
 	var rows, cols int64
 	var vals []float64
 	var side int
 	var tiles []sparseTile
 	switch {
-	case r.fail():
+	case r.Err() != nil:
 	case kind == kindDense:
-		rows, cols = r.denseDims()
-		vals = r.f64s(int(rows * cols))
+		rows, cols = denseDims(r)
+		vals = r.F64s(int(rows * cols))
 	case kind == kindSparse:
-		rows, cols, side, tiles = r.sparseBody()
+		rows, cols, side, tiles = sparseBody(r)
 	default:
-		r.err = fmt.Errorf("cluster: unknown operand kind %d", kind)
+		r.Fail(fmt.Errorf("cluster: unknown operand kind %d", kind))
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.err = fmt.Errorf("cluster: %d trailing bytes", len(r.b))
+	if r.Err() == nil && r.Len() != 0 {
+		r.Fail(fmt.Errorf("cluster: %d trailing bytes", r.Len()))
 	}
-	if r.fail() {
-		return 0, nil, fmt.Errorf("node %s: tile-push: %w", n.id, r.err)
+	if err := r.Err(); err != nil {
+		return 0, nil, fmt.Errorf("node %s: tile-push: %w", n.id, err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -206,11 +206,10 @@ func (n *Node) tilePush(payload []byte) (FrameType, []byte, error) {
 // whole on every node, so this is the complete local reduction of the
 // band's partial products — nothing accumulates across nodes.
 func (n *Node) exec(payload []byte) (FrameType, []byte, error) {
-	var r rbuf
-	r.b = payload
-	out, aName, bName, ring := r.str(), r.str(), r.str(), r.str()
-	if r.fail() {
-		return 0, nil, fmt.Errorf("node %s: exec: %w", n.id, r.err)
+	r := codec.NewReader(payload)
+	out, aName, bName, ring := r.Str(), r.Str(), r.Str(), r.Str()
+	if err := r.Err(); err != nil {
+		return 0, nil, fmt.Errorf("node %s: exec: %w", n.id, err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -218,6 +217,9 @@ func (n *Node) exec(payload []byte) (FrameType, []byte, error) {
 	b, okB := n.held[bName]
 	if !okA || !okB || a.mat == nil || b.mat == nil {
 		return 0, nil, fmt.Errorf("node %s: exec %s: operand not held (a=%v b=%v)", n.id, out, okA, okB)
+	}
+	if a.rows*b.cols > maxFrameValues {
+		return 0, nil, fmt.Errorf("node %s: exec %s: a %dx%d product does not fit in one frame", n.id, out, a.rows, b.cols)
 	}
 	prod, err := a.mat.MatMulRing(b.mat, ring)
 	if err != nil {
@@ -234,17 +236,19 @@ func (n *Node) exec(payload []byte) (FrameType, []byte, error) {
 
 // fetch returns a held array's dims and row-major values.
 func (n *Node) fetch(payload []byte) (FrameType, []byte, error) {
-	var r rbuf
-	r.b = payload
-	name := r.str()
-	if r.fail() {
-		return 0, nil, fmt.Errorf("node %s: fetch: %w", n.id, r.err)
+	r := codec.NewReader(payload)
+	name := r.Str()
+	if err := r.Err(); err != nil {
+		return 0, nil, fmt.Errorf("node %s: fetch: %w", n.id, err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	h, ok := n.held[name]
 	if !ok {
 		return 0, nil, fmt.Errorf("node %s: fetch %s: not held", n.id, name)
+	}
+	if h.rows*h.cols > maxFrameValues {
+		return 0, nil, fmt.Errorf("node %s: fetch %s: %dx%d values do not fit in one frame", n.id, name, h.rows, h.cols)
 	}
 	vals := h.vals
 	if vals == nil {
@@ -253,21 +257,20 @@ func (n *Node) fetch(payload []byte) (FrameType, []byte, error) {
 			return 0, nil, fmt.Errorf("node %s: fetch %s: %w", n.id, name, err)
 		}
 	}
-	var w wbuf
-	w.u64(uint64(h.rows))
-	w.u64(uint64(h.cols))
-	w.f64s(vals)
-	return FrameTileData, w.b, nil
+	var w codec.Writer
+	w.I64(h.rows)
+	w.I64(h.cols)
+	w.F64s(vals)
+	return FrameTileData, w.Bytes(), nil
 }
 
 // drop frees every held array whose name starts with the given prefix
 // (coordinators drop their whole query namespace in one frame).
 func (n *Node) drop(payload []byte) (FrameType, []byte, error) {
-	var r rbuf
-	r.b = payload
-	prefix := r.str()
-	if r.fail() {
-		return 0, nil, fmt.Errorf("node %s: drop: %w", n.id, r.err)
+	r := codec.NewReader(payload)
+	prefix := r.Str()
+	if err := r.Err(); err != nil {
+		return 0, nil, fmt.Errorf("node %s: drop: %w", n.id, err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -283,10 +286,10 @@ func (n *Node) drop(payload []byte) (FrameType, []byte, error) {
 // numbers the cluster ablation sums per node.
 func (n *Node) stats() (FrameType, []byte, error) {
 	rep := n.sess.Report()
-	var w wbuf
-	w.u64(uint64(rep.IOBytes))
-	w.u64(uint64(rep.SeqOps))
-	w.u64(uint64(rep.RandOps))
-	w.u64(uint64(rep.Flops))
-	return FrameStatsData, w.b, nil
+	var w codec.Writer
+	w.I64(rep.IOBytes)
+	w.I64(rep.SeqOps)
+	w.I64(rep.RandOps)
+	w.I64(rep.Flops)
+	return FrameStatsData, w.Bytes(), nil
 }

@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"riot"
 	"riot/internal/array"
+	"riot/internal/codec"
 	"riot/internal/plan"
 	"riot/internal/sparse"
 )
@@ -117,13 +116,13 @@ func encodePushes(o operand, byRows bool, names []string, shares [][]bandSpec) (
 	}
 	out := make([][]byte, len(shares))
 	for s := range shares {
-		var w wbuf
-		w.str(names[s])
-		w.u8(kindDense)
-		w.u64(uint64(dims[s][0]))
-		w.u64(uint64(dims[s][1]))
-		w.f64s(vals[s])
-		out[s] = w.b
+		var w codec.Writer
+		w.Str(names[s])
+		w.U8(kindDense)
+		w.I64(dims[s][0])
+		w.I64(dims[s][1])
+		w.F64s(vals[s])
+		out[s] = w.Bytes()
 	}
 	return out, nil
 }
@@ -141,23 +140,23 @@ func encodeSparse(sp *sparse.Matrix, byRows bool, names []string, shares [][]ban
 	if err != nil {
 		return nil, err
 	}
-	ws := make([]wbuf, len(shares))
+	ws := make([]codec.Writer, len(shares))
 	counts := make([]uint32, len(shares))
 	countAt := make([]int, len(shares))
 	for s, share := range shares {
 		w := &ws[s]
-		w.str(names[s])
-		w.u8(kindSparse)
+		w.Str(names[s])
+		w.U8(kindSparse)
 		if byRows {
-			w.u64(uint64(spanLen(share)))
-			w.u64(uint64(sp.Cols()))
+			w.I64(spanLen(share))
+			w.I64(sp.Cols())
 		} else {
-			w.u64(uint64(sp.Rows()))
-			w.u64(uint64(spanLen(share)))
+			w.I64(sp.Rows())
+			w.I64(spanLen(share))
 		}
-		w.u32(uint32(side))
-		countAt[s] = len(w.b)
-		w.u32(0) // the tile count, patched once known
+		w.U32(uint32(side))
+		countAt[s] = w.Len()
+		w.U32(0) // the tile count, patched once known
 	}
 	var idx []uint32
 	var vals []float64
@@ -174,13 +173,13 @@ func encodeSparse(sp *sparse.Matrix, byRows bool, names []string, shares [][]ban
 			return err
 		}
 		w := &ws[s]
-		w.u32(uint32(sti))
-		w.u32(uint32(stj))
-		w.u32(uint32(len(idx)))
+		w.U32(uint32(sti))
+		w.U32(uint32(stj))
+		w.U32(uint32(len(idx)))
 		for _, x := range idx {
-			w.u32(x)
+			w.U32(x)
 		}
-		w.f64s(vals)
+		w.F64s(vals)
 		counts[s]++
 		return nil
 	}
@@ -204,8 +203,8 @@ func encodeSparse(sp *sparse.Matrix, byRows bool, names []string, shares [][]ban
 	}
 	out := make([][]byte, len(shares))
 	for s := range ws {
-		binary.BigEndian.PutUint32(ws[s].b[countAt[s]:], counts[s])
-		out[s] = ws[s].b
+		ws[s].PatchU32(countAt[s], counts[s])
+		out[s] = ws[s].Bytes()
 	}
 	return out, nil
 }
@@ -249,26 +248,26 @@ func spanLen(rs []bandSpec) int64 {
 	return n
 }
 
-// sparseTile is one tile of a sparse push, still in wire form.
+// sparseTile is one decoded tile of a sparse push.
 type sparseTile struct {
 	ti, tj int
-	idx    []byte // nnz big-endian u32 in-tile row-major indexes
-	vals   []byte // nnz little-endian f64 values
+	idx    []uint32 // in-tile row-major indexes, ascending
+	vals   []float64
 }
 
 // sparseBody parses a sparse TilePush body from its dims on and
 // validates all of it — dims, tile side, grid size, tile coordinates and
 // order, every nnz, index and value — before the caller allocates
-// anything.
-func (r *rbuf) sparseBody() (rows, cols int64, side int, tiles []sparseTile) {
-	rows, cols = r.dims()
-	side = int(r.u32())
-	n := int(r.u32())
-	if r.err != nil {
+// anything; the decoded tiles take no more memory than their wire bytes.
+func sparseBody(r *codec.Reader) (rows, cols int64, side int, tiles []sparseTile) {
+	rows, cols = dims(r)
+	side = int(r.U32())
+	n := int(r.U32())
+	if r.Err() != nil {
 		return 0, 0, 0, nil
 	}
 	fail := func(format string, args ...any) (int64, int64, int, []sparseTile) {
-		r.err = fmt.Errorf("cluster: sparse push: "+format, args...)
+		r.Fail(fmt.Errorf("cluster: sparse push: "+format, args...))
 		return 0, 0, 0, nil
 	}
 	if side < 1 || side > 1<<15 {
@@ -281,14 +280,14 @@ func (r *rbuf) sparseBody() (rows, cols int64, side int, tiles []sparseTile) {
 	}
 	// Every shipped tile costs at least 12 header bytes and one
 	// 12-byte entry.
-	if n > len(r.b)/24 {
-		return fail("%d tiles cannot fit in %d bytes", n, len(r.b))
+	if n > r.Len()/24 {
+		return fail("%d tiles cannot fit in %d bytes", n, r.Len())
 	}
 	tiles = make([]sparseTile, 0, n)
 	prev := int64(-1)
 	for k := 0; k < n; k++ {
-		ti, tj, nnz := int64(r.u32()), int64(r.u32()), int(r.u32())
-		if r.err != nil {
+		ti, tj, nnz := int64(r.U32()), int64(r.U32()), int(r.U32())
+		if r.Err() != nil {
 			return 0, 0, 0, nil
 		}
 		if ti >= gr || tj >= gc || ti*gc+tj <= prev {
@@ -296,19 +295,22 @@ func (r *rbuf) sparseBody() (rows, cols int64, side int, tiles []sparseTile) {
 		}
 		prev = ti*gc + tj
 		h, w := min(s, rows-ti*s), min(s, cols-tj*s)
-		if nnz < 1 || int64(nnz) > h*w || nnz > len(r.b)/12 {
+		if nnz < 1 || int64(nnz) > h*w || nnz > r.Len()/12 {
 			return fail("tile (%d,%d) declares %d nonzeros", ti, tj, nnz)
 		}
-		t := sparseTile{ti: int(ti), tj: int(tj), idx: r.b[:4*nnz], vals: r.b[4*nnz : 12*nnz]}
-		r.b = r.b[12*nnz:]
+		t := sparseTile{ti: int(ti), tj: int(tj), idx: make([]uint32, nnz)}
 		last := int64(-1)
-		for e := 0; e < nnz; e++ {
-			x := int64(binary.BigEndian.Uint32(t.idx[4*e:]))
+		for e := range t.idx {
+			t.idx[e] = r.U32()
+			x := int64(t.idx[e])
 			if x <= last || x/s >= h || x%s >= w {
 				return fail("tile (%d,%d) index %d out of order or outside the tile", ti, tj, x)
 			}
 			last = x
-			if math.Float64frombits(binary.LittleEndian.Uint64(t.vals[8*e:])) == 0 {
+		}
+		t.vals = r.F64s(nnz)
+		for _, v := range t.vals {
+			if v == 0 {
 				return fail("tile (%d,%d) ships an explicit zero", ti, tj)
 			}
 		}
@@ -322,15 +324,14 @@ func installSparse(sess *riot.Session, rows, cols int64, side int, tiles []spars
 	return sess.NewSparseMatrix(rows, cols, side, func(b *sparse.Builder) error {
 		scratch := make([]float64, side*side)
 		for _, t := range tiles {
-			nnz := len(t.idx) / 4
-			for e := 0; e < nnz; e++ {
-				scratch[binary.BigEndian.Uint32(t.idx[4*e:])] = math.Float64frombits(binary.LittleEndian.Uint64(t.vals[8*e:]))
+			for e, x := range t.idx {
+				scratch[x] = t.vals[e]
 			}
 			if err := b.SetTile(t.ti, t.tj, scratch); err != nil {
 				return err
 			}
-			for e := 0; e < nnz; e++ {
-				scratch[binary.BigEndian.Uint32(t.idx[4*e:])] = 0
+			for _, x := range t.idx {
+				scratch[x] = 0
 			}
 		}
 		return nil

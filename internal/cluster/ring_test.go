@@ -3,7 +3,10 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+
+	"riot/internal/codec"
 )
 
 // ringKeys is the table the placement tests sweep: a few arrays, many
@@ -137,40 +140,75 @@ func TestRingRemoveDeadNode(t *testing.T) {
 // Frame encoding round-trips every payload primitive, and a truncated
 // payload fails decode instead of panicking.
 func TestFrameRoundTrip(t *testing.T) {
-	var w wbuf
-	w.str("q1.sh.0")
-	w.u8(kindSparse)
-	w.u64(12345678901234)
-	w.f64s([]float64{0, 1.5, -2.25, 3e300})
+	var w codec.Writer
+	w.Str("q1.sh.0")
+	w.U8(kindSparse)
+	w.U64(12345678901234)
+	w.F64s([]float64{0, 1.5, -2.25, 3e300})
 
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameTilePush, w.b); err != nil {
+	if err := WriteFrame(&buf, FrameTilePush, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := ReadFrame(&buf)
 	if err != nil || ft != FrameTilePush {
 		t.Fatalf("ReadFrame: type %#x err %v", ft, err)
 	}
-	var r rbuf
-	r.b = payload
-	if s := r.str(); s != "q1.sh.0" {
+	r := codec.NewReader(payload)
+	if s := r.Str(); s != "q1.sh.0" {
 		t.Fatalf("str = %q", s)
 	}
-	if k := r.u8(); k != kindSparse {
+	if k := r.U8(); k != kindSparse {
 		t.Fatalf("u8 = %d", k)
 	}
-	if v := r.u64(); v != 12345678901234 {
+	if v := r.U64(); v != 12345678901234 {
 		t.Fatalf("u64 = %d", v)
 	}
-	vals := r.f64s(4)
-	if r.fail() || len(vals) != 4 || vals[3] != 3e300 {
-		t.Fatalf("f64s = %v (err %v)", vals, r.err)
+	vals := r.F64s(4)
+	if r.Err() != nil || len(vals) != 4 || vals[3] != 3e300 {
+		t.Fatalf("f64s = %v (err %v)", vals, r.Err())
 	}
 
-	var tr rbuf
-	tr.b = payload[:5] // truncated mid-string
-	_ = tr.str()
-	if !tr.fail() {
+	tr := codec.NewReader(payload[:5]) // truncated mid-string
+	_ = tr.Str()
+	if tr.Err() == nil {
 		t.Fatalf("truncated payload decoded without error")
+	}
+}
+
+// A length prefix alone buys no allocation: a header declaring 2^30
+// bytes followed by EOF fails ReadFrame having allocated at most one
+// chunk, not the declared gigabyte. A frame spanning several chunks
+// still reads back whole.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	var hdr codec.Writer
+	hdr.U8(uint8(FrameTilePush))
+	hdr.U32(1 << 30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hdr.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ReadFrame accepted a header with no payload behind it")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("ReadFrame allocated %d bytes for a frame that never arrived", got)
+	}
+
+	big := make([]byte, 5*frameChunk/2+3)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, FrameTileData, big); err != nil {
+		t.Fatal(err)
+	}
+	ft, got, err := ReadFrame(bytes.NewReader(buf.Bytes()[:buf.Len()-1]))
+	if err == nil {
+		t.Fatalf("ReadFrame accepted a frame one byte short (type %#x, %d bytes)", ft, len(got))
+	}
+	ft, got, err = ReadFrame(&buf)
+	if err != nil || ft != FrameTileData || !bytes.Equal(got, big) {
+		t.Fatalf("multi-chunk frame: type %#x, %d bytes, err %v", ft, len(got), err)
 	}
 }

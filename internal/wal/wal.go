@@ -57,6 +57,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"riot/internal/codec"
 )
 
 // Magic identifies a WAL file (and its format version).
@@ -340,15 +342,13 @@ func (l *Log) scan(data []byte) ([]Record, int64, error) {
 
 // encodeFrame builds the framed bytes for one record.
 func encodeFrame(t RecordType, lsn uint64, payload []byte) []byte {
-	n := uint32(1 + 8 + len(payload))
-	frame := make([]byte, int(n)+8)
-	binary.LittleEndian.PutUint32(frame, n)
-	frame[4] = byte(t)
-	binary.LittleEndian.PutUint64(frame[5:], lsn)
-	copy(frame[13:], payload)
-	crc := crc32.Checksum(frame[:4+n], castagnoli)
-	binary.LittleEndian.PutUint32(frame[4+n:], crc)
-	return frame
+	w := codec.NewWriter(frameOverhead + len(payload))
+	w.U32(uint32(1 + 8 + len(payload)))
+	w.U8(uint8(t))
+	w.U64(lsn)
+	w.Write(payload)
+	w.U32(crc32.Checksum(w.Bytes(), castagnoli))
+	return w.Bytes()
 }
 
 // Append writes one record to the log buffer and returns its LSN plus

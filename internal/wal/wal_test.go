@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,7 +12,7 @@ import (
 	"time"
 )
 
-func openT(t *testing.T, path string, opts Options) (*Log, []Record) {
+func openT(t testing.TB, path string, opts Options) (*Log, []Record) {
 	t.Helper()
 	l, recs, err := Open(path, opts)
 	if err != nil {
@@ -19,7 +21,7 @@ func openT(t *testing.T, path string, opts Options) (*Log, []Record) {
 	return l, recs
 }
 
-func appendAck(t *testing.T, l *Log, typ RecordType, payload []byte) uint64 {
+func appendAck(t testing.TB, l *Log, typ RecordType, payload []byte) uint64 {
 	t.Helper()
 	lsn, ack, err := l.Append(typ, payload)
 	if err != nil {
@@ -320,4 +322,74 @@ func TestCloseIdempotent(t *testing.T) {
 	if _, _, err := l.Append(RecPublish, nil); err == nil {
 		t.Fatal("Append on a closed log succeeded")
 	}
+}
+
+// FuzzOpen opens arbitrary file bytes as a log. Open must never panic.
+// When it fails the file is untouched. When it succeeds, the records
+// carry contiguous LSNs from the header's base+1, and the file is cut to
+// exactly their frames: it equals the header plus each record
+// re-encoded, and whatever followed in the input is not a good frame.
+func FuzzOpen(f *testing.F) {
+	path := filepath.Join(f.TempDir(), FileName)
+	l, _ := openT(f, path, Options{})
+	for _, p := range [][]byte{[]byte("alpha"), nil, bytes.Repeat([]byte{7}, 300)} {
+		appendAck(f, l, RecPublish, p)
+	}
+	appendAck(f, l, RecDelete, []byte("x"))
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	corrupt := bytes.Clone(good)
+	corrupt[headerSize+frameOverhead+5+2] ^= 0xff // inside the second record
+	f.Add(good)
+	f.Add(good[:len(good)-3]) // torn tail
+	f.Add(corrupt)
+	f.Add(good[:headerSize-1]) // short header
+
+	le := binary.LittleEndian
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), FileName)
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := Open(path, Options{})
+		after, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(after, data) {
+				t.Fatalf("failed Open (%v) changed the file", err)
+			}
+			return
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		base := le.Uint64(data[len(Magic):])
+		kept := bytes.Clone(data[:headerSize])
+		for i, r := range recs {
+			if r.LSN != base+1+uint64(i) {
+				t.Fatalf("record %d has LSN %d after base %d", i, r.LSN, base)
+			}
+			kept = append(kept, encodeFrame(r.Type, r.LSN, r.Payload)...)
+		}
+		if !bytes.Equal(after, kept) || !bytes.HasPrefix(data, kept) {
+			t.Fatalf("file cut to %d bytes; its %d records span %d", len(after), len(recs), len(kept))
+		}
+		rest := data[len(kept):]
+		if len(rest) < frameOverhead {
+			return
+		}
+		n := int64(le.Uint32(rest))
+		if n >= 9 && n <= maxFrame && int64(len(rest)) >= n+8 &&
+			crc32.Checksum(rest[:4+n], castagnoli) == le.Uint32(rest[4+n:]) &&
+			le.Uint64(rest[5:]) == base+1+uint64(len(recs)) {
+			t.Fatalf("Open cut the log before a good frame with LSN %d", base+1+uint64(len(recs)))
+		}
+	})
 }
